@@ -50,6 +50,7 @@ from .families import (
     FamilyModel,
     FamilyQuery,
     PairDecomposition,
+    VerificationError,
     family_multiplicity,
     family_kind_of,
     family_quotient,

@@ -6,8 +6,9 @@ decimal strings in json and csv so downstream consumers never lose
 precision.  Output is byte-deterministic for a fixed config and seed.
 
 Exit status: 0 success, 2 usage or parse error, 3 domain error (for
-example a part exceeding the level), 4 resource ceiling exceeded,
-5 verification mismatch.
+example a part exceeding the level, or a malformed golden file),
+4 resource ceiling exceeded, 5 verification mismatch (a failing suite,
+or two routes disagreeing on one value).
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ import sys
 from dataclasses import dataclass
 
 from .chebpoly import Partition
-from .families import FamilyQuery, family_multiplicity, family_kind_of, family_quotient
+from .families import (
+    FamilyQuery,
+    VerificationError,
+    family_kind_of,
+    family_multiplicity,
+    family_quotient,
+)
 from .quotient import (
     classify,
     default_order,
@@ -217,10 +224,12 @@ def cmd_expand(cfg: RunConfig) -> int:
                "coefficients": [str(c) for c in cs]}
         _emit_json(obj)
     elif cfg.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["r", "coefficient"])
+        # integer fields never need quoting; one write per row keeps every
+        # row before a failing decimal conversion in the output
+        write = sys.stdout.write
+        write("r,coefficient\n")
         for r, c in enumerate(cs):
-            w.writerow([r, str(c)])
+            write(f"{r},{c}\n")
     else:
         _emit(
             f"xi={list(sp.xi.parts)} m={sp.m} mu={sp.mu} -> mu1={sp.mu1} "
@@ -423,8 +432,11 @@ def main(argv: list[str] | None = None) -> int:
     except CeilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, OSError, KeyError) as exc:
-        # bad values, unreadable golden files, malformed fixture keys
+        # bad values, unreadable or malformed golden files, missing keys
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

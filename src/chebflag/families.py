@@ -26,7 +26,12 @@ __all__ = [
     "product_model_coeff",
     "family_quotient",
     "family_multiplicity",
+    "VerificationError",
 ]
+
+
+class VerificationError(RuntimeError):
+    """Two independent routes disagree on a value they both compute."""
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,7 @@ def family_quotient(fq: FamilyQuery) -> FamilyModel:
         else:
             note = f"no unsigned model: q = {q} < d = {d}"
     if dec is not None and dec.product() != spec.numerator():
-        raise RuntimeError("family pairs fail to reproduce the numerator")
+        raise VerificationError("family pairs fail to reproduce the numerator")
     return FamilyModel(fq, spec, dec, note)
 
 
@@ -257,7 +262,7 @@ def family_multiplicity(fq: FamilyQuery) -> int:
     if model.decomposition is not None:
         recount = product_model_coeff(model.decomposition, fq.N)
         if recount != value:
-            raise RuntimeError(
+            raise VerificationError(
                 f"product model disagrees with expansion: {recount} != {value}"
             )
     return value

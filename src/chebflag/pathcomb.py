@@ -177,36 +177,57 @@ def strip_walk_count(m: int, a: int, b: int, L: int) -> int:
 
 
 def strip_walk_count_dfs(m: int, a: int, b: int, L: int) -> int:
-    """Same count by brute-force depth-first search, no memoization.
+    """Same count by brute force, meeting in the middle, no memoization.
 
-    Counting only, nothing materialized, so it reaches lengths the
-    enumeration guard refuses.  Still exponential work; caller bounds it.
+    Every half-walk of floor(L/2) steps from a and every half-walk of
+    ceil(L/2) steps from b is enumerated one by one by depth-first search
+    and tallied by its end height; a walk from a to b is one half from
+    each side sharing that middle height, the second read backwards, so
+    the count is the sum of the products of the two tallies.  Counting
+    only, nothing materialized, so it reaches lengths the enumeration
+    guard refuses.  Still exponential work in L/2; caller bounds it.
     """
     _check_strip_args(m, a, b)
     if L < 0:
         raise ValueError("length must be nonnegative")
     if abs(a - b) > L or (L - abs(a - b)) % 2:
         return 0
+    first = L // 2
+    left = _half_walk_ends(m, a, first, b, L - first)
+    right = _half_walk_ends(m, b, L - first, a, first)
+    return sum(x * y for x, y in zip(left, right))
+
+
+def _half_walk_ends(
+    m: int, start: int, steps: int, other: int, rest: int
+) -> list[int]:
+    """Number of walks of the given steps from start on the strip, by end
+    height, keeping only those whose end is within rest steps of other.
+
+    Depth-first search over single walks; a prefix is cut as soon as
+    other is out of reach, and every surviving leaf counts one walk.
+    """
     top = m - 1
-    count = 0
-    stack = [(a, L)]
+    ends = [0] * m
+    stack = [(start, steps)]
     push = stack.append
     pop = stack.pop
     while stack:
         h, rem = pop()
         if rem == 0:
-            count += 1
+            ends[h] += 1
             continue
-        # parity of rem - |h - b| is invariant under +-1 steps, so after
-        # the root check only reachability needs testing
+        # parity of the distance to other is fixed by the root check, so
+        # only reachability needs testing
         rem1 = rem - 1
+        reach = rem1 + rest
         d = h - 1
-        if d >= 0 and (b - d if b > d else d - b) <= rem1:
+        if d >= 0 and (other - d if other > d else d - other) <= reach:
             push((d, rem1))
         u = h + 1
-        if u <= top and (b - u if b > u else u - b) <= rem1:
+        if u <= top and (other - u if other > u else u - other) <= reach:
             push((u, rem1))
-    return count
+    return ends
 
 
 def enumerate_strip_walks(m: int, a: int, b: int, L: int) -> list[StripWalk]:

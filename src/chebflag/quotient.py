@@ -162,17 +162,23 @@ def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
     """Exact coefficients a_0..a_order of F.
 
     For k <= 0 the denominator cancels completely and F is the polynomial
-    prod p_alpha * p_m^(-k), padded with zeros; otherwise one truncated
-    division by p_m^k does it.
+    prod p_alpha * p_m^(-k), padded with zeros.  Otherwise the numerator
+    is divided by p_m k times, each truncated division feeding the next:
+    the divisor keeps the small coefficients (-1)^j C(m-j, j) instead of
+    the wide ones of p_m^k, and truncation commutes with the division, so
+    the coefficients are exactly those of one division by p_m^k.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     num = spec.numerator()
+    pm = p_poly(spec.m)
     if spec.k <= 0:
-        poly = poly_mul(num, poly_pow(p_poly(spec.m), -spec.k))
+        poly = poly_mul(num, poly_pow(pm, -spec.k))
         series = TruncatedSeries([poly[i] for i in range(order + 1)], order)
     else:
-        series = series_div_unit(num, poly_pow(p_poly(spec.m), spec.k), order)
+        series = series_div_unit(num, pm, order)
+        for _ in range(spec.k - 1):
+            series = series_div_unit(IntPolynomial(series.coeffs), pm, order)
     return CoefficientReport(spec, order, series, {"division": series.coeffs})
 
 

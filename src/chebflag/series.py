@@ -8,6 +8,7 @@ every coefficient an exact integer (no rationals ever appear).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 
@@ -164,14 +165,15 @@ def series_div_unit(
         raise ValueError(
             f"denominator constant term must be 1, got {den[0]}"
         )
-    dden = den.degree
-    out = [0] * (order + 1)
-    for n in range(order + 1):
-        acc = num[n]
-        for i in range(1, min(n, dden) + 1):
-            acc -= den.coeffs[i] * out[n - i]
-        out[n] = acc
-    return TruncatedSeries(out, order)
+    d = den.degree
+    # out holds d leading zeros, then num's coefficients through x^order;
+    # den[d], ..., den[1] against the window out[n-d:n] is the sum above
+    rev = den.coeffs[:0:-1]
+    head = num.coeffs[: order + 1]
+    out = [0] * d + list(head) + [0] * (order + 1 - len(head))
+    for n in range(d, d + order + 1):
+        out[n] -= sum(map(mul, rev, out[n - d : n]))
+    return TruncatedSeries(out[d:], order)
 
 
 def coeff(s: TruncatedSeries, j: int) -> int:

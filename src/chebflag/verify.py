@@ -237,9 +237,20 @@ def default_golden_path() -> str:
 
 
 def _suite_golden(path: str) -> SuiteResult:
-    t = _Tally("golden")
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    try:
+        return _check_golden(data)
+    except (TypeError, AttributeError, KeyError) as exc:
+        # a fixture of the wrong shape: a section that is not a list of
+        # objects, a missing key, or a field of the wrong type
+        raise ValueError(
+            f"malformed golden fixture {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _check_golden(data) -> SuiteResult:
+    t = _Tally("golden")
     for case in data["matchings"]:
         got = [
             [list(edge) for edge in m]

@@ -199,6 +199,14 @@ class TestVerify:
         code, _, err = run_main(capsys, ["verify", "--golden", str(path)])
         assert code == 3
 
+    def test_wrong_shape_golden_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "golden.json"
+        path.write_text('{"matchings": 5}')
+        code, _, err = run_main(capsys, ["verify", "--golden", str(path)])
+        assert code == 3
+        assert "malformed golden fixture" in err
+        assert "Traceback" not in err
+
 
 class TestFamilies:
     def test_negative_q_short_circuits(self, capsys):
@@ -229,6 +237,23 @@ class TestFamilies:
         assert code == 0
         assert "q: 1" in out
         assert "pairs:" in out
+
+    def test_route_disagreement_is_verify_exit(self, capsys, monkeypatch):
+        import chebflag.families
+
+        real = chebflag.families.product_model_coeff
+        monkeypatch.setattr(
+            chebflag.families, "product_model_coeff",
+            lambda dec, r: real(dec, r) + 1,
+        )
+        code, out, err = run_main(
+            capsys, ["families", "--kind", "b", "--m", "4", "--t", "1",
+                     "--s", "3", "--r", "2", "--N", "1"]
+        )
+        assert code == 5
+        assert out == ""
+        assert "product model disagrees" in err
+        assert "Traceback" not in err
 
     def test_invalid_query_is_domain_error(self, capsys):
         code, _, err = run_main(

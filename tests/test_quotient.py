@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from chebflag.quotient import (
     positivity_threshold,
     signed_coefficient,
 )
-from chebflag.series import poly_mul, poly_pow
+from chebflag.series import IntPolynomial, poly_mul, poly_pow, series_div_unit
+from chebflag.verify import default_golden_path
 
 
 def spec_of(parts, m, mu):
@@ -102,6 +104,48 @@ class TestExpand:
             raw_num = poly_mul(p_poly(m - sp.mu0 - 1), p_partition(sp.xi))
             raw = series_div_unit(raw_num, poly_pow(p_poly(m), sp.mu1 + 1), 12)
             assert expand(sp, 12).coeffs == raw
+
+
+@st.composite
+def specs_with_k(draw):
+    """Specs with m in 2..64 and net pole order k in -2..9."""
+    m = draw(st.integers(2, 64))
+    k = draw(st.integers(-2, 9))
+    t = max(0, 1 - k) + draw(st.integers(0, 2))
+    rest = draw(st.lists(st.integers(1, m - 1), max_size=3))
+    mu = (k - 1 + t) * m + draw(st.integers(0, m - 1))
+    sp = spec_of(sorted([m] * t + rest, reverse=True), m, mu)
+    assert sp.k == k
+    return sp
+
+
+class TestLayeredDivision:
+    """expand divides by p_m one layer at a time; the reference is one
+    truncated division by the dense power p_m^k."""
+
+    @given(specs_with_k(), st.integers(0, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_reference(self, sp, order):
+        got = expand(sp, order).coeffs.coeffs
+        num, pm = sp.numerator(), p_poly(sp.m)
+        if sp.k <= 0:
+            poly = poly_mul(num, poly_pow(pm, -sp.k))
+            assert got == tuple(poly[i] for i in range(order + 1))
+        else:
+            den = poly_pow(pm, sp.k)
+            assert got == series_div_unit(num, den, order).coeffs
+            # and the series times the denominator gives back the numerator
+            back = poly_mul(IntPolynomial(got), den)
+            assert all(back[i] == num[i] for i in range(order + 1))
+
+    def test_golden_fixture(self):
+        with open(default_golden_path(), encoding="utf-8") as fh:
+            cases = json.load(fh)["expansions"]
+        assert cases
+        for case in cases:
+            sp = spec_of(case["xi"], case["m"], case["mu"])
+            got = expand(sp, case["order"]).coeffs.coeffs
+            assert [str(c) for c in got] == case["coeffs"]
 
 
 class TestSignedCoefficient:

@@ -1,0 +1,83 @@
+"""CLI transcript: a fixed corpus of invocations whose exit codes and stdout
+bytes are pinned, so that refactors and speed-ups can be shown to change
+no output.  The expand cases cover json, csv and text with the net pole
+order k from -1 to 9.
+
+Each digest is the sha256 of the invocation's stdout, encoded as UTF-8,
+recorded before the layered division and the direct csv rows went in.
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from chebflag.chebpoly import Partition
+from chebflag.cli import main
+from chebflag.quotient import expand, make_spec
+
+CORPUS = [
+    # (argv, exit code, sha256 of stdout); k noted for the expand cases
+    ("expand --xi 2,2 --m 2 --mu 0 --order 12 --format json", 0,  # k=-1
+     "3b10cfb465f610ba123d860434e8b2771348aac1acafa8c81d031fa29bb4e396"),
+    ("expand --xi 4,4,1 --m 4 --mu 5 --order 30 --format csv", 0,  # k=0
+     "180a78be1aa362c55eee7e6684b14b505657e69bb6fd893cc72ef6441e95ef2f"),
+    ("expand --xi 3,2 --m 4 --mu 1 --order 60", 0,  # k=1
+     "9d32af8cb065b8ce67d3368b8896452cbba1c8818d8057462903063475b480ed"),
+    ("expand --xi 6,3 --m 8 --mu 9 --order 200 --format csv", 0,  # k=2
+     "1ae17d94a0ac4e5a07faa56690fc94620fc41077551224fc519e6d822646e985"),
+    ("expand --xi 5,5,5 --m 12 --mu 24 --order 300 --format json", 0,  # k=3
+     "58caacb67ba272cb87d0bb9d440aa07ab46224c3b479475b6eb84671320311dc"),
+    ("expand --xi 7,5 --m 12 --mu 60 --order 400", 0,  # k=6
+     "5cbf568b972edd5bc51a4e3c2fe625ede6463aaa41f3c2274721b3fb9f33876e"),
+    ("expand --xi 9,9,2 --m 9 --mu 80 --order 500 --format json", 0,  # k=7
+     "3d9e8bab801196dab67e1db30e286d8913cef10cde26b00a0be1838dafd17eef"),
+    ("expand --xi 40,30,20 --m 50 --mu 400 --order 800 --format csv", 0,  # k=9
+     "93db982f3c84b4e6ea027a1ed9a4c8ff6cedd27de63b2f6b5b428c7c4da20475"),
+    ("expand --xi 3 --m 2 --mu 0 --format csv", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mult --xi 2,1,1 --m 2 --n 2", 0,
+     "53bb11b732fd667208da6d0669433a10f0580096b421198b51fb5d4d39d1f3fe"),
+    ("mult --xi 20,20,20,20,9 --m 20 --n 39 --format json", 0,
+     "3d71280c0707c08975204fac41191a371bb42bb9aee6ec45fb67cf17ffd893cb"),
+    ("table --xi 2,2 --m 2 --n 0..8 --format csv", 0,
+     "a7c83f772525a2b4b2b455b3abec117a7bec209a9e34df0aa3549bb7874c68c1"),
+    ("classify --xi 3,2 --m 4 --mu 1 --horizon 60 --format json", 0,
+     "ae8d16f980ec56b2868ff42c66cc69d0eb6004850f21e8592683ac9343c443a9"),
+    ("classify --xi 5,3,1 --m 6 --mu 13", 0,
+     "1dd0e4ec010ba118952645158aec5b173add333511dbe5f0fe80726dd514fea1"),
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("line, code, digest", CORPUS, ids=[c[0] for c in CORPUS])
+def test_transcript(capsys, line, code, digest):
+    got = main(line.split())
+    out, err = capsys.readouterr()
+    assert got == code
+    assert _digest(out) == digest
+    assert "Traceback" not in err
+
+
+def test_csv_rows_before_digit_limit(capsys):
+    # a_1082 is the first coefficient past 640 decimal digits, so expand
+    # exits 3 after writing the header and rows 0..1081 exactly
+    line = "expand --xi 7,5 --m 12 --mu 60 --order 1500 --format csv"
+    cs = expand(make_spec(Partition((7, 5)), 12, 60), 1081).coeffs.coeffs
+    want = "r,coefficient\n" + "".join(f"{r},{c}\n" for r, c in enumerate(cs))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = main(line.split())
+    finally:
+        sys.set_int_max_str_digits(previous)
+    out, err = capsys.readouterr()
+    assert got == 3
+    assert "640 digits" in err
+    assert out == want
+    assert _digest(out) == (
+        "c90c1b13082c1099a26ba68419a19bf9f4931a56d1bd5bf89aad058bb72f0c19"
+    )
