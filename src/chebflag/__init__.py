@@ -7,6 +7,7 @@ from .series import (
     coeff,
     poly_add,
     poly_mul,
+    poly_prod,
     series_div_unit,
 )
 from .chebpoly import (
@@ -42,6 +43,7 @@ from .quotient import (
     default_order,
     expand,
     make_spec,
+    multiplicities,
     multiplicity,
     positivity_threshold,
     signed_coefficient,

@@ -33,6 +33,7 @@ from .quotient import (
     default_order,
     expand,
     make_spec,
+    multiplicities,
     multiplicity,
     positivity_threshold,
 )
@@ -48,7 +49,8 @@ EXIT_VERIFY = 5
 
 
 class CeilingError(Exception):
-    """order or horizon beyond the configured resource ceiling."""
+    """order, horizon or coefficient index beyond the configured resource
+    ceiling."""
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,19 @@ def cmd_expand(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _check_indices(xi: Partition, ns: tuple[int, ...], ceiling: int) -> None:
+    # a multiplicity reads coefficient (|xi| - n)/2; refuse before any work
+    for n in ns:
+        gap = xi.size - n
+        if n >= 0 and gap >= 0 and gap % 2 == 0 and gap // 2 > ceiling:
+            raise CeilingError(
+                f"coefficient index {gap // 2} (n={n}) exceeds ceiling {ceiling}"
+            )
+
+
 def cmd_mult(cfg: RunConfig) -> int:
     xi = Partition(cfg.xi)
+    _check_indices(xi, (cfg.n,), cfg.ceiling)
     value = multiplicity(xi, cfg.m, cfg.n)
     if cfg.fmt == "json":
         _emit_json(
@@ -379,9 +392,10 @@ def cmd_families(cfg: RunConfig) -> int:
 
 def cmd_table(cfg: RunConfig) -> int:
     xi = Partition(cfg.xi)
+    _check_indices(xi, cfg.n_values, cfg.ceiling)
+    values = multiplicities(xi, cfg.m, cfg.n_values)
     rows = []
-    for n in cfg.n_values:
-        value = multiplicity(xi, cfg.m, n)
+    for n, value in zip(cfg.n_values, values):
         kind = classify(make_spec(xi, cfg.m, n)).kind if n >= 0 else ""
         rows.append(
             {

@@ -12,19 +12,13 @@ Negative k means surplus cancellation and the quotient is a polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .chebpoly import Partition, p_poly
 from .pathcomb import full_height_count
-from .series import (
-    IntPolynomial,
-    TruncatedSeries,
-    coeff,
-    poly_mul,
-    poly_pow,
-    series_div_unit,
-)
+from .series import IntPolynomial, TruncatedSeries, poly_prod, series_div_unit
 
 __all__ = [
     "QuotientSpec",
@@ -37,6 +31,7 @@ __all__ = [
     "positivity_threshold",
     "default_order",
     "multiplicity",
+    "multiplicities",
 ]
 
 
@@ -73,11 +68,9 @@ class QuotientSpec:
         if any(not 0 <= a <= self.m - 1 for a in self.alphas):
             raise ValueError("numerator indices must lie in [0, m-1]")
 
-    def numerator(self) -> IntPolynomial:
-        acc = IntPolynomial((1,))
-        for a in self.alphas:
-            acc = poly_mul(acc, p_poly(a))
-        return acc
+    def numerator(self, order: int | None = None) -> IntPolynomial:
+        """prod p_alpha, truncated after x^order when order is given."""
+        return poly_prod([p_poly(a) for a in self.alphas], order)
 
 
 @dataclass(frozen=True)
@@ -114,25 +107,15 @@ class PositivityClass:
 
 @dataclass(frozen=True)
 class CoefficientReport:
-    """Exact coefficients plus a record of which routes produced them.
-
-    Routes map a route name (division, signed, product) to the full
-    coefficient vector that route computed; all must agree.
-    """
+    """Exact coefficients a_0..a_order of the quotient a spec describes."""
 
     spec: QuotientSpec
     order: int
     coeffs: TruncatedSeries
-    routes: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.coeffs.order != self.order:
             raise ValueError("series order does not match report order")
-        for name, vec in self.routes.items():
-            if tuple(vec) != self.coeffs.coeffs:
-                raise ValueError(
-                    f"route {name!r} disagrees with the reported coefficients"
-                )
 
 
 def make_spec(xi: Partition, m: int, mu: int) -> QuotientSpec:
@@ -161,7 +144,8 @@ def make_spec(xi: Partition, m: int, mu: int) -> QuotientSpec:
 def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
     """Exact coefficients a_0..a_order of F.
 
-    For k <= 0 the denominator cancels completely and F is the polynomial
+    Every product is built only through x^order.  For k <= 0 the
+    denominator cancels completely and F is the polynomial
     prod p_alpha * p_m^(-k), padded with zeros.  Otherwise the numerator
     is divided by p_m k times, each truncated division feeding the next:
     the divisor keeps the small coefficients (-1)^j C(m-j, j) instead of
@@ -170,16 +154,15 @@ def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    num = spec.numerator()
     pm = p_poly(spec.m)
     if spec.k <= 0:
-        poly = poly_mul(num, poly_pow(pm, -spec.k))
+        poly = poly_prod([p_poly(a) for a in spec.alphas] + [pm] * -spec.k, order)
         series = TruncatedSeries([poly[i] for i in range(order + 1)], order)
     else:
-        series = series_div_unit(num, pm, order)
-        for _ in range(spec.k - 1):
-            series = series_div_unit(IntPolynomial(series.coeffs), pm, order)
-    return CoefficientReport(spec, order, series, {"division": series.coeffs})
+        series = spec.numerator(order)
+        for _ in range(spec.k):
+            series = series_div_unit(series, pm, order)
+    return CoefficientReport(spec, order, series)
 
 
 @lru_cache(maxsize=None)
@@ -272,14 +255,60 @@ def multiplicity(xi: Partition, m: int, n: int) -> int:
     >>> multiplicity(Partition([2]), 2, 1)
     0
     """
+    return multiplicities(xi, m, [n])[0]
+
+
+def multiplicities(xi: Partition, m: int, ns: Iterable[int]) -> list[int]:
+    """multiplicity(xi, m, n) for each n of a grid, in one pass.
+
+    With mu = n, F = p_{m-mu0-1} * G_k, where G_k is the product of p_part
+    over the parts below m, divided by p_m^k (times p_m^(-k) for k <= 0);
+    it depends on n only through k.  So the product is built once, and
+    one chain of divisions by p_m, advanced through the grid's k in
+    ascending order and never restarted, gives every G_k with k > 0.
+    Larger k means larger n and a smaller index, so each G_k is carried
+    only as far as its own rows read it.  Each row is then a short
+    convolution with p_{m-mu0-1}.
+
+    >>> multiplicities(Partition([2, 2, 1, 1, 1, 1]), 3, range(-1, 9))
+    [0, 2, 0, 2, 0, 5, 0, 3, 0, 1]
+    """
     if m < 1:
         raise ValueError("level m must be >= 1")
     if xi.length and xi.parts[0] > m:
         raise ValueError(f"part {xi.parts[0]} exceeds the level m={m}")
-    if n < 0:
-        return 0
-    gap = xi.size - n
-    if gap < 0 or gap % 2:
-        return 0
-    idx = gap // 2
-    return coeff(expand(make_spec(xi, m, n), idx).coeffs, idx)
+    ns = list(ns)
+    t = sum(1 for p in xi if p == m)
+    rows: dict[int, list[tuple[int, int, int]]] = {}  # k -> (slot, index, alpha0)
+    for slot, n in enumerate(ns):
+        gap = xi.size - n
+        if n < 0 or gap < 0 or gap % 2:
+            continue
+        mu1, mu0 = divmod(n, m)
+        rows.setdefault(mu1 + 1 - t, []).append((slot, gap // 2, m - mu0 - 1))
+    out = [0] * len(ns)
+    if not rows:
+        return out
+    # k grows with n and the index shrinks, so the rows at k read G_k no
+    # further than their own largest index, and the first k reads furthest
+    tops = {k: max(idx for _, idx, _ in group) for k, group in rows.items()}
+    ks = sorted(rows)
+    pm = p_poly(m)
+    base = poly_prod([p_poly(p) for p in xi if p < m], tops[ks[0]])
+    chain, layers = base, 0
+    for k in ks:
+        if k <= 0:
+            cs = poly_prod([base] + [pm] * -k, tops[k]).coeffs
+        else:
+            while layers < k:
+                chain = series_div_unit(chain, pm, tops[k])
+                layers += 1
+            cs = chain.coeffs
+        for slot, idx, a0 in rows[k]:
+            # [x^idx] p_a0 * G_k; cs may stop short of idx when G_k is a
+            # polynomial of lower degree
+            pa = p_poly(a0).coeffs
+            lo = max(0, idx + 1 - len(cs))
+            hi = min(len(pa), idx + 1)
+            out[slot] = sum(pa[j] * cs[idx - j] for j in range(lo, hi))
+    return out

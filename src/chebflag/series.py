@@ -98,6 +98,14 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "order", order)
 
+    @classmethod
+    def _of_ints(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
+        # coeffs are already ints, so skip the int() copy of __init__
+        s = object.__new__(cls)
+        object.__setattr__(s, "coeffs", coeffs)
+        object.__setattr__(s, "order", len(coeffs) - 1)
+        return s
+
     def truncate(self, new_order: int) -> "TruncatedSeries":
         if not 0 <= new_order <= self.order:
             raise ValueError(f"cannot extend truncation {self.order} to {new_order}")
@@ -144,13 +152,68 @@ def poly_pow(p: IntPolynomial, e: int) -> IntPolynomial:
     return acc
 
 
+def poly_prod(
+    factors: Iterable[IntPolynomial], order: int | None = None
+) -> IntPolynomial:
+    """Product of the factors, truncated after x^order when order is given.
+
+    Kronecker substitution: each factor is evaluated at 2^b, the integers
+    are multiplied (reduced mod 2^(b*(order+1)) after each factor), and
+    the coefficients are read back as signed base-2^b digits.  b holds the
+    product of the factors' L1 norms plus a sign bit, which bounds every
+    coefficient, so the digits never overlap and the result is exact.
+
+    >>> poly_prod([IntPolynomial([1, -1]), IntPolynomial([1, 1])]).coeffs
+    (1, 0, -1)
+    >>> poly_prod([IntPolynomial([1, -1])] * 3, order=1).coeffs
+    (1, -3)
+    >>> poly_prod([]) == ONE
+    True
+    """
+    if order is not None and order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    vecs = [f.coeffs for f in factors]
+    if not all(vecs):
+        return ZERO
+    length = sum(len(cs) - 1 for cs in vecs) + 1
+    if order is not None:
+        length = min(length, order + 1)
+        vecs = [cs[:length] for cs in vecs]
+    bound = 1
+    for cs in vecs:
+        bound *= sum(map(abs, cs))
+    if bound == 0:  # a factor vanishes through x^order
+        return ZERO
+    width = (bound.bit_length() + 8) // 8  # bytes per digit, sign bit included
+    half = 1 << (8 * width - 1)
+    # digits are stored as c + half, in [1, 2^b), so packing and unpacking
+    # need no carries; the offset of n digits is subtracted or added back
+    half_digit = half.to_bytes(width, "little")
+
+    def offset(n: int) -> int:
+        return int.from_bytes(half_digit * n, "little")
+
+    mask = (1 << (8 * width * length)) - 1
+    acc = 1
+    for cs in vecs:
+        packed = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        acc = (acc * (int.from_bytes(packed, "little") - offset(len(cs)))) & mask
+    data = ((acc + offset(length)) & mask).to_bytes(width * length, "little")
+    return IntPolynomial(
+        int.from_bytes(data[i : i + width], "little") - half
+        for i in range(0, width * length, width)
+    )
+
+
 def series_div_unit(
-    num: IntPolynomial, den: IntPolynomial, order: int
+    num: IntPolynomial | TruncatedSeries, den: IntPolynomial, order: int
 ) -> TruncatedSeries:
     """Expand num/den as a power series through x^order.
 
-    The denominator must have constant term exactly 1; that makes the
-    quotient's coefficients integers and the recurrence below exact:
+    num may be a TruncatedSeries, so that one division can feed the next
+    without a copy.  The denominator must have constant term exactly 1;
+    that makes the quotient's coefficients integers and the recurrence
+    below exact:
 
         s[n] = num[n] - sum(den[i] * s[n-i] for i >= 1)
 
@@ -165,6 +228,10 @@ def series_div_unit(
         raise ValueError(
             f"denominator constant term must be 1, got {den[0]}"
         )
+    if isinstance(num, TruncatedSeries) and num.order < order:
+        raise ValueError(
+            f"numerator known only through x^{num.order}, not x^{order}"
+        )
     d = den.degree
     # out holds d leading zeros, then num's coefficients through x^order;
     # den[d], ..., den[1] against the window out[n-d:n] is the sum above
@@ -173,7 +240,7 @@ def series_div_unit(
     out = [0] * d + list(head) + [0] * (order + 1 - len(head))
     for n in range(d, d + order + 1):
         out[n] -= sum(map(mul, rev, out[n - d : n]))
-    return TruncatedSeries(out[d:], order)
+    return TruncatedSeries._of_ints(tuple(out[d:]))
 
 
 def coeff(s: TruncatedSeries, j: int) -> int:

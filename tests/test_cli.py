@@ -107,6 +107,40 @@ class TestCeiling:
         assert "horizon" in err
 
 
+    def test_mult_index_over_ceiling(self, capsys, monkeypatch):
+        # |xi| = 27, n = 1 reads coefficient 13
+        monkeypatch.setenv("CHEBFLAG_CEILING", "12")
+        code, out, err = run_main(
+            capsys, ["mult", "--xi", "9,9,9", "--m", "9", "--n", "1"]
+        )
+        assert code == 4
+        assert out == ""
+        assert "index 13" in err and "ceiling" in err
+        assert "Traceback" not in err
+        monkeypatch.setenv("CHEBFLAG_CEILING", "13")
+        code, _, _ = run_main(
+            capsys, ["mult", "--xi", "9,9,9", "--m", "9", "--n", "1"]
+        )
+        assert code == 0
+
+    def test_table_index_over_ceiling(self, capsys, monkeypatch):
+        # only n = 1 reads an index past 12; the whole table is refused
+        # before any row is written
+        monkeypatch.setenv("CHEBFLAG_CEILING", "12")
+        code, out, err = run_main(
+            capsys, ["table", "--xi", "9,9,9", "--m", "9", "--n=-1,0,1,2,5",
+                     "--format", "csv"]
+        )
+        assert code == 4
+        assert out == ""
+        assert "index 13" in err
+        assert "Traceback" not in err
+        code, _, _ = run_main(
+            capsys, ["table", "--xi", "9,9,9", "--m", "9", "--n=-1,0,2,5"]
+        )
+        assert code == 0
+
+
 class TestMult:
     def test_text(self, capsys):
         code, out, _ = run_main(capsys, ["mult", "--xi", "2", "--m", "2", "--n", "2"])
@@ -281,6 +315,14 @@ class TestTable:
         )
         assert code == 0
         assert out.splitlines() == ["xi,m,n,multiplicity,positivity,family"]
+
+    def test_empty_grid_still_checks_parts(self, capsys):
+        code, out, err = run_main(
+            capsys, ["table", "--xi", "3", "--m", "2", "--n", "", "--format", "csv"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_negative_n_blank_class(self, capsys):
         code, out, _ = run_main(

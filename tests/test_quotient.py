@@ -12,11 +12,12 @@ from chebflag.quotient import (
     default_order,
     expand,
     make_spec,
+    multiplicities,
     multiplicity,
     positivity_threshold,
     signed_coefficient,
 )
-from chebflag.series import IntPolynomial, poly_mul, poly_pow, series_div_unit
+from chebflag.series import IntPolynomial, coeff, poly_mul, poly_pow, series_div_unit
 from chebflag.verify import default_golden_path
 
 
@@ -78,16 +79,10 @@ class TestExpand:
             cs = expand(spec_of(parts, 1, mu), 6).coeffs.coeffs
             assert cs == (1, 0, 0, 0, 0, 0, 0)
 
-    def test_routes_recorded(self):
-        rep = expand(spec_of([1], 2, 1), 3)
-        assert rep.routes == {"division": (1, 1, 1, 1)}
-
-    def test_report_rejects_disagreeing_route(self):
+    def test_report_rejects_mismatched_order(self):
         rep = expand(spec_of([1], 2, 1), 2)
         with pytest.raises(ValueError):
-            CoefficientReport(
-                rep.spec, 2, rep.coeffs, {"bogus": (1, 2, 1)}
-            )
+            CoefficientReport(rep.spec, 3, rep.coeffs)
 
     def test_reduced_equals_unreduced(self):
         # dividing prod p_alpha by p_m^k must match the raw form
@@ -279,3 +274,53 @@ class TestMultiplicity:
         else:
             sp = make_spec(xi, m, n)
             assert value == expand(sp, gap // 2).coeffs.coeffs[gap // 2]
+
+
+@st.composite
+def grids(draw):
+    """A partition, a level and a grid of n: negative n, odd gaps, n above
+    |xi|, repeats, any order, and parts equal to m so that k <= 0 occurs."""
+    m = draw(st.integers(1, 9))
+    parts = draw(st.lists(st.integers(1, m), max_size=7))
+    size = sum(parts)
+    ns = draw(st.lists(st.integers(-3, size + 3), max_size=12))
+    return Partition(sorted(parts, reverse=True)), m, ns
+
+
+class TestMultiplicities:
+    """One pass over a grid against one expansion per n."""
+
+    @given(grids())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_expand_per_n(self, grid):
+        xi, m, ns = grid
+        got = multiplicities(xi, m, ns)
+        assert len(got) == len(ns)
+        for n, value in zip(ns, got):
+            gap = xi.size - n
+            if n < 0 or gap < 0 or gap % 2:
+                assert value == 0
+                continue
+            idx = gap // 2
+            sp = make_spec(xi, m, n)
+            assert value == coeff(expand(sp, idx).coeffs, idx), (n, sp.k)
+            if sp.k >= 0:
+                assert value == signed_coefficient(sp, idx), (n, sp.k)
+            assert value == multiplicity(xi, m, n)
+
+    def test_deep_chain(self):
+        # k climbs to 9 along the grid; each row against its own expansion
+        xi = Partition([4] * 9 + [3, 3])
+        ns = list(range(0, xi.size + 1, 2))
+        got = multiplicities(xi, 5, ns)
+        for n, value in zip(ns, got):
+            idx = (xi.size - n) // 2
+            assert value == coeff(expand(make_spec(xi, 5, n), idx).coeffs, idx)
+        assert make_spec(xi, 5, ns[-1]).k == 9
+
+    def test_empty_grid(self):
+        assert multiplicities(Partition([2, 1]), 2, []) == []
+
+    def test_rejects_oversize_part(self):
+        with pytest.raises(ValueError):
+            multiplicities(Partition([3]), 2, [1])

@@ -10,6 +10,7 @@ from chebflag.series import (
     poly_add,
     poly_mul,
     poly_pow,
+    poly_prod,
     series_div_unit,
 )
 
@@ -91,6 +92,13 @@ class TestSeriesDivUnit:
         with pytest.raises(ValueError):
             series_div_unit(ONE, P(1, -1), -1)
 
+    def test_series_numerator_feeds_next_division(self):
+        once = series_div_unit(ONE, P(1, -1), 4)
+        assert series_div_unit(once, P(1, -1), 4).coeffs == (1, 2, 3, 4, 5)
+        assert series_div_unit(once, P(1, -1), 2).coeffs == (1, 2, 3)
+        with pytest.raises(ValueError):
+            series_div_unit(once, P(1, -1), 5)
+
 
 class TestCoeff:
     def test_negative_index_is_zero(self):
@@ -159,3 +167,52 @@ def test_degree_of_product(p, q):
         assert poly_mul(p, q).degree == p.degree + q.degree
     else:
         assert poly_mul(p, q) == ZERO
+
+
+def _schoolbook_prod(factors, order):
+    acc = ONE
+    for f in factors:
+        acc = poly_mul(acc, f)
+    if order is None:
+        return acc
+    return IntPolynomial(acc.coeffs[: order + 1])
+
+
+wide_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**200), 2**200),
+)
+wide_polys = st.builds(IntPolynomial, st.lists(wide_coeffs, max_size=12))
+
+
+class TestPolyProd:
+    """poly_prod (Kronecker substitution) against a schoolbook poly_mul chain."""
+
+    @given(st.lists(wide_polys, max_size=5), st.one_of(st.none(), st.integers(0, 70)))
+    def test_matches_schoolbook(self, factors, order):
+        assert poly_prod(factors, order) == _schoolbook_prod(factors, order)
+
+    @given(st.lists(wide_polys, min_size=1, max_size=5), st.data())
+    def test_order_inside_and_beyond_degree(self, factors, data):
+        full = _schoolbook_prod(factors, None)
+        order = data.draw(st.integers(0, max(full.degree, 0) + 5))
+        assert poly_prod(factors, order) == _schoolbook_prod(factors, order)
+        assert poly_prod(factors, max(full.degree, 0) + 5) == full
+
+    @given(st.lists(wide_polys, max_size=4), st.one_of(st.none(), st.integers(0, 9)))
+    def test_zero_factor_gives_zero(self, factors, order):
+        assert poly_prod(factors + [ZERO], order) == ZERO
+        # a factor that vanishes through x^order zeroes the truncated product
+        assert poly_prod(factors + [P(0, 0, 7)], 1) == ZERO
+
+    def test_empty_product_is_one(self):
+        assert poly_prod([]) == ONE
+        assert poly_prod([], 0) == ONE
+        assert poly_prod([], 5) == ONE
+
+    def test_order_zero_reads_constant_terms(self):
+        assert poly_prod([P(-2, 5), P(3, 1, 1)], 0) == P(-6)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            poly_prod([P(1, -1)], -1)

@@ -1,10 +1,14 @@
 """CLI transcript: a fixed corpus of invocations whose exit codes and stdout
 bytes are pinned, so that refactors and speed-ups can be shown to change
 no output.  The expand cases cover json, csv and text with the net pole
-order k from -1 to 9.
+order k from -1 to 9; the table cases cover negative n, odd gaps, n above
+|xi|, parts equal to m and k from -1 to 9.
 
-Each digest is the sha256 of the invocation's stdout, encoded as UTF-8,
-recorded before the layered division and the direct csv rows went in.
+Each digest is the sha256 of the invocation's stdout, encoded as UTF-8.
+The first fourteen were recorded before the layered division and the
+direct csv rows went in; the last three tables and the k <= 0 mult were
+recorded before a table shared one numerator and one division chain
+across its rows.
 """
 
 import hashlib
@@ -42,6 +46,17 @@ CORPUS = [
      "3d71280c0707c08975204fac41191a371bb42bb9aee6ec45fb67cf17ffd893cb"),
     ("table --xi 2,2 --m 2 --n 0..8 --format csv", 0,
      "a7c83f772525a2b4b2b455b3abec117a7bec209a9e34df0aa3549bb7874c68c1"),
+    # negative n, odd gaps, n above |xi|, parts equal to m, k from -1 to 5
+    ("table --xi 6,6,5,4,3,3,2,1 --m 6 --n=-2..40 --format json", 0,
+     "6a16f5d14420596a19f575165e308e744bd52ec03db9efa37456239398955414"),
+    # a stride grid whose k climbs to 9
+    ("table --xi 4,4,4,4,4,4,4,4,4,3,3 --m 5 --n 0,6,12,18,24,30,35,36,40,42,44"
+     " --format csv", 0,
+     "e166d93bfe6947ce6fdea979cb34fb9a35c7331e76848af99cbb878b3c077eb9"),
+    ("table --xi 7,7,6,2 --m 7 --n 0..22", 0,  # k=-1..2
+     "4cba9530a08cbc555713421e18d3a03dbf902297f2f8a4e337d643210baf6a4d"),
+    ("mult --xi 3,3,3,1 --m 3 --n 4", 0,  # k=-1
+     "4e94c0d83e1b0d4dde60f9b0d0e1cdbbe417cf297debd9c76ed8de3da466e7da"),
     ("classify --xi 3,2 --m 4 --mu 1 --horizon 60 --format json", 0,
      "ae8d16f980ec56b2868ff42c66cc69d0eb6004850f21e8592683ac9343c443a9"),
     ("classify --xi 5,3,1 --m 6 --mu 13", 0,
