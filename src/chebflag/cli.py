@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .chebpoly import Partition
 from .families import (
@@ -49,30 +48,8 @@ EXIT_VERIFY = 5
 
 
 class CeilingError(Exception):
-    """order, horizon or coefficient index beyond the configured resource
-    ceiling."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    xi: tuple[int, ...] = ()
-    m: int = 1
-    mu: int = 0
-    n: int = 0
-    n_values: tuple[int, ...] = ()
-    order: int = 0
-    horizon: int | None = None
-    seed: int = 0
-    kind: str = "a"
-    t: int = 0
-    s: int = 0
-    r: int | None = None
-    rs: tuple[int, ...] = ()
-    N: int | None = None
-    golden: str | None = None
-    ceiling: int = DEFAULT_CEILING
+    """order, horizon, coefficient index or list length beyond the
+    configured resource ceiling."""
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -92,12 +69,14 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return ordered
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> range | tuple[int, ...]:
     if text.strip() == "":
         return ()
     if ".." in text:
+        # kept lazy, so its length is checked against the ceiling before
+        # anything is built
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return tuple(int(p) for p in text.split(","))
 
 
@@ -125,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_fmt(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument(
+            "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
+        )
 
     p = sub.add_parser("expand", help="exact coefficients a_0..a_order")
     p.add_argument("--xi", type=_parse_partition, required=True)
@@ -171,25 +152,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     ns = _build_parser().parse_args(argv)
-    ceiling = _ceiling()
-    kw = dict(command=ns.command, fmt=getattr(ns, "format", "text"), ceiling=ceiling)
-    if ns.command in ("expand", "classify"):
-        kw.update(xi=ns.xi, m=ns.m, mu=ns.mu)
-    if ns.command == "expand":
-        kw.update(order=ns.order)
-    if ns.command == "classify":
-        kw.update(horizon=ns.horizon)
-    if ns.command == "mult":
-        kw.update(xi=ns.xi, m=ns.m, n=ns.n)
-    if ns.command == "verify":
-        kw.update(seed=ns.seed, golden=ns.golden)
-    if ns.command == "families":
-        kw.update(kind=ns.kind, m=ns.m, t=ns.t, s=ns.s, r=ns.r, rs=ns.rs, N=ns.N)
-    if ns.command == "table":
-        kw.update(xi=ns.xi, m=ns.m, n_values=ns.n)
-    return RunConfig(**kw)
+    ns.ceiling = _ceiling()
+    return ns
 
 
 def _emit(text: str) -> None:
@@ -215,17 +181,17 @@ def _spec_header(sp) -> dict:
     }
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    if cfg.order > cfg.ceiling:
-        raise CeilingError(f"order {cfg.order} exceeds ceiling {cfg.ceiling}")
-    sp = make_spec(Partition(cfg.xi), cfg.m, cfg.mu)
-    report = expand(sp, cfg.order)
+def cmd_expand(ns: argparse.Namespace) -> int:
+    if ns.order > ns.ceiling:
+        raise CeilingError(f"order {ns.order} exceeds ceiling {ns.ceiling}")
+    sp = make_spec(Partition(ns.xi), ns.m, ns.mu)
+    report = expand(sp, ns.order)
     cs = report.coeffs.coeffs
-    if cfg.fmt == "json":
-        obj = {"command": "expand", **_spec_header(sp), "order": cfg.order,
+    if ns.fmt == "json":
+        obj = {"command": "expand", **_spec_header(sp), "order": ns.order,
                "coefficients": [str(c) for c in cs]}
         _emit_json(obj)
-    elif cfg.fmt == "csv":
+    elif ns.fmt == "csv":
         # integer fields never need quoting; one write per row keeps every
         # row before a failing decimal conversion in the output
         write = sys.stdout.write
@@ -241,9 +207,15 @@ def cmd_expand(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_indices(xi: Partition, ns: tuple[int, ...], ceiling: int) -> None:
+def _check_length(values, flag: str, ceiling: int) -> None:
+    # slicing, unlike len(), works on a range longer than sys.maxsize
+    if values[ceiling:]:
+        raise CeilingError(f"{flag} lists more than {ceiling} values (ceiling)")
+
+
+def _check_indices(xi: Partition, grid, ceiling: int) -> None:
     # a multiplicity reads coefficient (|xi| - n)/2; refuse before any work
-    for n in ns:
+    for n in grid:
         gap = xi.size - n
         if n >= 0 and gap >= 0 and gap % 2 == 0 and gap // 2 > ceiling:
             raise CeilingError(
@@ -251,35 +223,35 @@ def _check_indices(xi: Partition, ns: tuple[int, ...], ceiling: int) -> None:
             )
 
 
-def cmd_mult(cfg: RunConfig) -> int:
-    xi = Partition(cfg.xi)
-    _check_indices(xi, (cfg.n,), cfg.ceiling)
-    value = multiplicity(xi, cfg.m, cfg.n)
-    if cfg.fmt == "json":
+def cmd_mult(ns: argparse.Namespace) -> int:
+    xi = Partition(ns.xi)
+    _check_indices(xi, (ns.n,), ns.ceiling)
+    value = multiplicity(xi, ns.m, ns.n)
+    if ns.fmt == "json":
         _emit_json(
             {
                 "command": "mult",
                 "xi": list(xi.parts),
-                "m": cfg.m,
-                "n": cfg.n,
+                "m": ns.m,
+                "n": ns.n,
                 "multiplicity": str(value),
             }
         )
-    elif cfg.fmt == "csv":
+    elif ns.fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["xi", "m", "n", "multiplicity"])
-        w.writerow([",".join(map(str, xi.parts)), cfg.m, cfg.n, str(value)])
+        w.writerow([",".join(map(str, xi.parts)), ns.m, ns.n, str(value)])
     else:
-        _emit(f"V(xi={list(xi.parts)}, m={cfg.m}, n={cfg.n}) = {value}")
+        _emit(f"V(xi={list(xi.parts)}, m={ns.m}, n={ns.n}) = {value}")
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    sp = make_spec(Partition(cfg.xi), cfg.m, cfg.mu)
+def cmd_classify(ns: argparse.Namespace) -> int:
+    sp = make_spec(Partition(ns.xi), ns.m, ns.mu)
     pc = classify(sp)
-    horizon = cfg.horizon if cfg.horizon is not None else default_order(sp)
-    if horizon > cfg.ceiling:
-        raise CeilingError(f"horizon {horizon} exceeds ceiling {cfg.ceiling}")
+    horizon = ns.horizon if ns.horizon is not None else default_order(sp)
+    if horizon > ns.ceiling:
+        raise CeilingError(f"horizon {horizon} exceeds ceiling {ns.ceiling}")
     threshold = None
     if pc.kind == "eventually_positive":
         threshold = positivity_threshold(sp, horizon)
@@ -292,9 +264,9 @@ def cmd_classify(cfg: RunConfig) -> int:
         "threshold": threshold,
         "note": "threshold is empirical evidence over the horizon, not a proof",
     }
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         _emit_json(obj)
-    elif cfg.fmt == "csv":
+    elif ns.fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["class", "degree_bound", "horizon", "threshold"])
         w.writerow(
@@ -317,14 +289,14 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = verify_mod.run_all(cfg.seed, cfg.golden)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    results = verify_mod.run_all(ns.seed, ns.golden)
     ok = all(r.ok for r in results)
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         _emit_json(
             {
                 "command": "verify",
-                "seed": cfg.seed,
+                "seed": ns.seed,
                 "suites": [
                     {
                         "name": r.name,
@@ -347,8 +319,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_families(cfg: RunConfig) -> int:
-    fq = FamilyQuery(cfg.kind, cfg.m, cfg.t, cfg.s, r=cfg.r, rs=cfg.rs, N=cfg.N)
+def cmd_families(ns: argparse.Namespace) -> int:
+    _check_length(ns.rs, "--rs", ns.ceiling)
+    fq = FamilyQuery(ns.kind, ns.m, ns.t, ns.s, r=ns.r, rs=tuple(ns.rs), N=ns.N)
     q, rho = fq.q_rho
     obj: dict = {
         "command": "families",
@@ -376,9 +349,9 @@ def cmd_families(cfg: RunConfig) -> int:
         )
         if fq.N is not None:
             obj["multiplicity"] = str(family_multiplicity(fq))
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         _emit_json(obj)
-    elif cfg.fmt == "csv":
+    elif ns.fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         keys = list(obj.keys())[1:]
         w.writerow(keys)
@@ -390,26 +363,28 @@ def cmd_families(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    xi = Partition(cfg.xi)
-    _check_indices(xi, cfg.n_values, cfg.ceiling)
-    values = multiplicities(xi, cfg.m, cfg.n_values)
+def cmd_table(ns: argparse.Namespace) -> int:
+    _check_length(ns.n, "--n", ns.ceiling)
+    xi = Partition(ns.xi)
+    _check_indices(xi, ns.n, ns.ceiling)
+    values = multiplicities(xi, ns.m, ns.n)
+    family = family_kind_of(xi.parts, ns.m)
     rows = []
-    for n, value in zip(cfg.n_values, values):
-        kind = classify(make_spec(xi, cfg.m, n)).kind if n >= 0 else ""
+    for n, value in zip(ns.n, values):
+        kind = classify(make_spec(xi, ns.m, n)).kind if n >= 0 else ""
         rows.append(
             {
                 "xi": ",".join(map(str, xi.parts)),
-                "m": cfg.m,
+                "m": ns.m,
                 "n": n,
                 "multiplicity": str(value),
                 "positivity": kind,
-                "family": family_kind_of(xi.parts, cfg.m),
+                "family": family,
             }
         )
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         _emit_json(rows)
-    elif cfg.fmt == "csv":
+    elif ns.fmt == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["xi", "m", "n", "multiplicity", "positivity", "family"])
         for row in rows:
@@ -437,12 +412,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_args(argv)
+        ns = parse_args(argv)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except CeilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING

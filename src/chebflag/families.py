@@ -11,7 +11,6 @@ visibly nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .chebpoly import Partition, p_poly
 from .pathcomb import DyckConstraint, dyck_count
@@ -268,7 +267,6 @@ def family_multiplicity(fq: FamilyQuery) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
 def family_kind_of(parts: tuple[int, ...], m: int) -> str:
     """Classify a partition with parts <= m by its middle parts: a, b, or
     c for zero, one, or more parts strictly between 1 and m."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .chebpoly import Partition, p_poly
@@ -37,36 +37,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """Bookkeeping for F: Euclidean data of mu, the count t of parts equal
-    to m, the net denominator exponent k, and the numerator indices."""
+    """F for (xi, m, mu), built and checked by make_spec.  The Euclidean
+    data of mu, the count t of parts equal to m, the net denominator
+    exponent k and the numerator indices are derived on first use."""
 
     xi: Partition
     m: int
     mu: int
-    mu1: int
-    mu0: int
-    t: int
-    k: int
-    alphas: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("level m must be >= 1")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if not (0 <= self.mu0 < self.m) or self.mu != self.mu1 * self.m + self.mu0:
-            raise ValueError("broken Euclidean data for mu")
-        if any(p > self.m for p in self.xi):
-            raise ValueError("every part must be <= m")
-        if self.t != sum(1 for p in self.xi if p == self.m):
-            raise ValueError("t must count the parts equal to m")
-        if self.k != self.mu1 + 1 - self.t:
-            raise ValueError("k must equal mu1 + 1 - t")
-        expected = (self.m - self.mu0 - 1,) + tuple(p for p in self.xi if p < self.m)
-        if self.alphas != expected:
-            raise ValueError(f"alphas must be {expected}, got {self.alphas}")
-        if any(not 0 <= a <= self.m - 1 for a in self.alphas):
-            raise ValueError("numerator indices must lie in [0, m-1]")
+    @cached_property
+    def mu1(self) -> int:
+        return self.mu // self.m
+
+    @cached_property
+    def mu0(self) -> int:
+        return self.mu % self.m
+
+    @cached_property
+    def t(self) -> int:
+        return sum(1 for p in self.xi if p == self.m)
+
+    @cached_property
+    def k(self) -> int:
+        return self.mu1 + 1 - self.t
+
+    @cached_property
+    def alphas(self) -> tuple[int, ...]:
+        return (self.m - self.mu0 - 1,) + tuple(p for p in self.xi if p < self.m)
 
     def numerator(self, order: int | None = None) -> IntPolynomial:
         """prod p_alpha, truncated after x^order when order is given."""
@@ -135,10 +132,7 @@ def make_spec(xi: Partition, m: int, mu: int) -> QuotientSpec:
     if any(p > m for p in xi):
         big = max(xi.parts)
         raise ValueError(f"part {big} exceeds the level m={m}")
-    mu1, mu0 = divmod(mu, m)
-    t = sum(1 for p in xi if p == m)
-    alphas = (m - mu0 - 1,) + tuple(p for p in xi if p < m)
-    return QuotientSpec(xi, m, mu, mu1, mu0, t, mu1 + 1 - t, alphas)
+    return QuotientSpec(xi, m, mu)
 
 
 def expand(spec: QuotientSpec, order: int) -> CoefficientReport:

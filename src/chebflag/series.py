@@ -106,11 +106,6 @@ class TruncatedSeries:
         object.__setattr__(s, "order", len(coeffs) - 1)
         return s
 
-    def truncate(self, new_order: int) -> "TruncatedSeries":
-        if not 0 <= new_order <= self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {new_order}")
-        return TruncatedSeries(self.coeffs[: new_order + 1], new_order)
-
 
 def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Coefficientwise sum.

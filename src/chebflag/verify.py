@@ -6,6 +6,10 @@ counts against depth-first search, the walk generating function, the
 walk/Dyck bijection, three-way coefficient agreement (division, signed
 formula, Dyck product model), family formulas against plain multiplicity
 extraction, the symbolic continuant identity, and frozen golden fixtures.
+
+Each suite is a function named after the suite.  The sized ones take
+their sizes as parameters whose defaults are what ``chebflag verify``
+runs; the acceptance gate calls the same functions at its own sizes.
 """
 
 from __future__ import annotations
@@ -39,7 +43,19 @@ from .pathcomb import (
 from .quotient import expand, make_spec, multiplicity, signed_coefficient
 from .series import poly_mul, series_div_unit
 
-__all__ = ["SuiteResult", "run_all", "default_golden_path"]
+__all__ = [
+    "SuiteResult",
+    "run_all",
+    "default_golden_path",
+    "matchings",
+    "walk_counts",
+    "walk_quotient",
+    "bijection",
+    "three_way",
+    "families",
+    "continuant",
+    "golden",
+]
 
 
 @dataclass(frozen=True)
@@ -72,7 +88,7 @@ class _Tally:
         return SuiteResult(self.name, self.checks, self.failures, self.first)
 
 
-def _suite_matchings() -> SuiteResult:
+def matchings() -> SuiteResult:
     t = _Tally("matchings")
     for r in range(13):
         for j in range(7):
@@ -82,16 +98,21 @@ def _suite_matchings() -> SuiteResult:
     return t.result()
 
 
-def _suite_walks(rng: random.Random) -> SuiteResult:
+def walk_counts(
+    rng: random.Random | None, max_m: int = 4, max_len: int = 10, extras: int = 60
+) -> SuiteResult:
+    """Transfer matrix against depth-first search on every cell m <= max_m,
+    L <= max_len and on ``extras`` random cells drawn from rng; walks of
+    length <= 14 are also enumerated one by one."""
     t = _Tally("walk_counts")
     cells = [
         (m, a, b, L)
-        for m in range(1, 5)
+        for m in range(1, max_m + 1)
         for a in range(m)
         for b in range(m)
-        for L in range(11)
+        for L in range(max_len + 1)
     ]
-    for _ in range(60):
+    for _ in range(extras):
         m = rng.randint(2, 6)
         cells.append((m, rng.randrange(m), rng.randrange(m), rng.randint(0, 14)))
     for m, a, b, L in cells:
@@ -104,16 +125,18 @@ def _suite_walks(rng: random.Random) -> SuiteResult:
     return t.result()
 
 
-def _suite_walk_quotient() -> SuiteResult:
+def walk_quotient(max_m: int = 6, order: int = 10) -> SuiteResult:
+    """Coefficients of p_a p_{m-1-b} / p_m against strip walk counts from
+    a to b, for a <= b < m <= max_m through x^order."""
     t = _Tally("walk_quotient")
-    for m in range(1, 7):
+    for m in range(1, max_m + 1):
         pm = p_poly(m)
         for a in range(m):
             for b in range(a, m):
                 series = series_div_unit(
-                    poly_mul(p_poly(a), p_poly(m - 1 - b)), pm, 10
+                    poly_mul(p_poly(a), p_poly(m - 1 - b)), pm, order
                 )
-                for r in range(11):
+                for r in range(order + 1):
                     got = series.coeffs[r]
                     want = strip_walk_count(m, a, b, b - a + 2 * r)
                     t.check(
@@ -123,12 +146,17 @@ def _suite_walk_quotient() -> SuiteResult:
     return t.result()
 
 
-def _suite_bijection() -> SuiteResult:
+def bijection(max_m: int = 5, max_u: int = 3) -> SuiteResult:
+    """The walk/Dyck bijection for m <= max_m and excess u <= max_u: equal
+    counts, the image of the walks is exactly the enumerated paths, and
+    dyck_to_walk undoes walk_to_dyck on every walk.  The last check makes
+    walk_to_dyck injective, and with the image check, a bijection whose
+    inverse is dyck_to_walk."""
     t = _Tally("bijection")
-    for m in range(1, 6):
+    for m in range(1, max_m + 1):
         for a in range(m):
             for b in range(m - a):
-                for u in range(4):
+                for u in range(max_u + 1):
                     c = DyckConstraint(m, a, b, u)
                     walks = enumerate_strip_walks(
                         m, a, m - 1 - b, m - 1 - a - b + 2 * u
@@ -164,13 +192,16 @@ def _random_spec(rng: random.Random):
             return sp
 
 
-def _suite_three_way(rng: random.Random, spec_count: int = 60) -> SuiteResult:
+def three_way(rng: random.Random, spec_count: int = 60, order: int = 10) -> SuiteResult:
+    """Division, the signed formula and, where a pair decomposition
+    exists, the Dyck product model on a_0..a_order of spec_count random
+    specs with m <= 5 and 0 <= k <= 3."""
     t = _Tally("three_way")
     for _ in range(spec_count):
         sp = _random_spec(rng)
-        report = expand(sp, 10)
+        report = expand(sp, order)
         dec = find_pair_decomposition(sp) if sp.k >= 1 else None
-        for r in range(11):
+        for r in range(order + 1):
             division = report.coeffs.coeffs[r]
             signed = signed_coefficient(sp, r)
             t.check(
@@ -188,7 +219,7 @@ def _suite_three_way(rng: random.Random, spec_count: int = 60) -> SuiteResult:
     return t.result()
 
 
-def _suite_families(rng: random.Random) -> SuiteResult:
+def families(rng: random.Random) -> SuiteResult:
     t = _Tally("families")
     queries: list[FamilyQuery] = []
     for _ in range(80):
@@ -216,7 +247,7 @@ def _suite_families(rng: random.Random) -> SuiteResult:
     return t.result()
 
 
-def _suite_continuant() -> SuiteResult:
+def continuant() -> SuiteResult:
     t = _Tally("continuant")
     for m in range(1, 9):
         det = continuant_det(m)
@@ -236,7 +267,7 @@ def default_golden_path() -> str:
     return str(resources.files("chebflag").joinpath("data/golden.json"))
 
 
-def _suite_golden(path: str) -> SuiteResult:
+def golden(path: str) -> SuiteResult:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -283,14 +314,13 @@ def _check_golden(data) -> SuiteResult:
 
 def run_all(seed: int, golden_path: str | None = None) -> list[SuiteResult]:
     rng = random.Random(seed)
-    results = [
-        _suite_matchings(),
-        _suite_walks(rng),
-        _suite_walk_quotient(),
-        _suite_bijection(),
-        _suite_three_way(rng),
-        _suite_families(rng),
-        _suite_continuant(),
-        _suite_golden(golden_path or default_golden_path()),
+    return [
+        matchings(),
+        walk_counts(rng),
+        walk_quotient(),
+        bijection(),
+        three_way(rng),
+        families(rng),
+        continuant(),
+        golden(golden_path or default_golden_path()),
     ]
-    return results

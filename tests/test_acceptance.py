@@ -9,23 +9,15 @@ import random
 import sys
 import time
 
+from chebflag import verify
 from chebflag.chebpoly import Partition, p_partition, p_poly, roots_of_pm
-from chebflag.families import (
-    FamilyQuery,
-    family_multiplicity,
-    find_pair_decomposition,
-    product_model_coeff,
-)
+from chebflag.families import FamilyQuery, family_multiplicity
 from chebflag.pathcomb import (
     DyckConstraint,
-    continuant_det,
     enumerate_dyck,
     enumerate_strip_walks,
     full_height_count,
-    strip_walk_count,
     strip_walk_count_dfs,
-    walk_to_dyck,
-    dyck_to_walk,
 )
 from chebflag.quotient import (
     classify,
@@ -33,7 +25,6 @@ from chebflag.quotient import (
     make_spec,
     multiplicity,
     positivity_threshold,
-    signed_coefficient,
 )
 from chebflag.series import IntPolynomial, poly_mul, poly_pow, series_div_unit
 
@@ -70,87 +61,36 @@ def _c1_matching_coefficients() -> int:
     return checks
 
 
+def _passed(*results) -> int:
+    for r in results:
+        assert r.ok, (
+            f"{r.name}: {r.failures} of {r.checks} checks failed, "
+            f"first: {r.first_counterexample}"
+        )
+    return sum(r.checks for r in results)
+
+
 def _c2_walk_quotient_three_routes() -> int:
-    checks = 0
-    for m in range(1, 7):
-        for a in range(m):
-            for b in range(a, m):
-                num = poly_mul(p_poly(a), p_poly(m - 1 - b))
-                cs = series_div_unit(num, p_poly(m), 10).coeffs
-                for r in range(11):
-                    L = b - a + 2 * r
-                    w1 = strip_walk_count(m, a, b, L)
-                    w2 = strip_walk_count_dfs(m, a, b, L)
-                    assert cs[r] == w1 == w2, (m, a, b, r, cs[r], w1, w2)
-                    checks += 1
-    return checks
+    # series against transfer matrix on 616 cells, and transfer matrix
+    # against DFS on every cell those read (m <= 6, L <= 25)
+    return _passed(
+        verify.walk_quotient(max_m=6, order=10),
+        verify.walk_counts(None, max_m=6, max_len=25, extras=0),
+    )
 
 
 def _c3_continuant_identity() -> int:
-    checks = 0
-    for m in range(1, 9):
-        interleaved: list[int] = []
-        for c in p_poly(m).coeffs:
-            interleaved += [c, 0]
-        assert continuant_det(m) == IntPolynomial(interleaved), m
-        checks += 1
-    return checks
+    return _passed(verify.continuant())
 
 
 def _c4_bijection_exact() -> int:
-    checks = 0
-    for m in range(1, 6):
-        for a in range(m):
-            for b in range(m - a):
-                for u in range(5):
-                    c = DyckConstraint(m, a, b, u)
-                    walks = enumerate_strip_walks(
-                        m, a, m - 1 - b, m - 1 - a - b + 2 * u
-                    )
-                    paths = enumerate_dyck(c)
-                    assert len(walks) == len(paths), (m, a, b, u)
-                    images = [walk_to_dyck(w, c) for w in walks]
-                    assert len(set(images)) == len(images), (m, a, b, u)
-                    assert set(images) == set(paths), (m, a, b, u)
-                    for w in walks:
-                        assert dyck_to_walk(walk_to_dyck(w, c), c) == w
-                    for p in paths:
-                        assert walk_to_dyck(dyck_to_walk(p, c), c) == p
-                    checks += 1 + 2 * len(walks)
-    return checks
+    return _passed(verify.bijection(max_m=5, max_u=4))
 
 
 def _c5_three_way_agreement() -> int:
-    rng = random.Random(20260816)
-    specs = []
-    while len(specs) < 200:
-        m = rng.randint(1, 5)
-        parts = tuple(
-            sorted(
-                (rng.randint(1, m) for _ in range(rng.randint(0, 4))),
-                reverse=True,
-            )
-        )
-        sp = make_spec(Partition(parts), m, rng.randint(0, 3 * m))
-        if 0 <= sp.k <= 3:
-            specs.append(sp)
-    checks = 0
-    for sp in specs:
-        cs = expand(sp, 12).coeffs.coeffs
-        for r in range(13):
-            assert signed_coefficient(sp, r) == cs[r], (
-                sp.xi.parts, sp.m, sp.mu, r,
-            )
-            checks += 1
-        if sp.k >= 1:
-            dec = find_pair_decomposition(sp)
-            if dec is not None:
-                for r in range(13):
-                    assert product_model_coeff(dec, r) == cs[r], (
-                        sp.xi.parts, sp.m, sp.mu, r,
-                    )
-                    checks += 1
-    return checks
+    return _passed(
+        verify.three_way(random.Random(20260816), spec_count=200, order=12)
+    )
 
 
 _POLYNOMIAL_SPECS = [

@@ -140,6 +140,40 @@ class TestCeiling:
         )
         assert code == 0
 
+    def test_table_grid_longer_than_ceiling(self, capsys, monkeypatch):
+        # refused from its bounds alone; the grid is never built
+        monkeypatch.delenv("CHEBFLAG_CEILING", raising=False)
+        code, out, err = run_main(
+            capsys, ["table", "--xi", "3", "--m", "3", "--n", "0..10000000000"]
+        )
+        assert code == 4
+        assert out == ""
+        assert "--n" in err and "ceiling" in err
+        assert "Traceback" not in err
+        monkeypatch.setenv("CHEBFLAG_CEILING", "40")
+        code, out, _ = run_main(
+            capsys, ["table", "--xi", "3", "--m", "3", "--n", "0..39",
+                     "--format", "csv"]
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 41
+        code, out, _ = run_main(
+            capsys, ["table", "--xi", "3", "--m", "3", "--n", "0..40"]
+        )
+        assert (code, out) == (4, "")
+
+    def test_families_rs_longer_than_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHEBFLAG_CEILING", "3")
+        code, out, err = run_main(
+            capsys, ["families", "--kind", "c", "--m", "6", "--rs", "1..4"]
+        )
+        assert (code, out) == (4, "")
+        assert "--rs" in err and "Traceback" not in err
+        code, _, _ = run_main(
+            capsys, ["families", "--kind", "c", "--m", "6", "--rs", "1..3"]
+        )
+        assert code == 0
+
 
 class TestMult:
     def test_text(self, capsys):

@@ -119,12 +119,6 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             TruncatedSeries([], order=-1)
 
-    def test_truncate(self):
-        s = TruncatedSeries([1, 2, 4, 8])
-        assert s.truncate(1).coeffs == (1, 2)
-        with pytest.raises(ValueError):
-            s.truncate(9)
-
 
 small_polys = st.builds(
     IntPolynomial, st.lists(st.integers(-9, 9), max_size=21)

@@ -8,7 +8,8 @@ Each digest is the sha256 of the invocation's stdout, encoded as UTF-8.
 The first fourteen were recorded before the layered division and the
 direct csv rows went in; the last three tables and the k <= 0 mult were
 recorded before a table shared one numerator and one division chain
-across its rows.
+across its rows; the verify and families cases were recorded before the
+acceptance gate and verify came to share one set of suites.
 """
 
 import hashlib
@@ -61,6 +62,22 @@ CORPUS = [
      "ae8d16f980ec56b2868ff42c66cc69d0eb6004850f21e8592683ac9343c443a9"),
     ("classify --xi 5,3,1 --m 6 --mu 13", 0,
      "1dd0e4ec010ba118952645158aec5b173add333511dbe5f0fe80726dd514fea1"),
+    ("verify --seed 0", 0,
+     "0f7f5263d360f4a8b8f58f9d76cdaccd84f1b7d1554c9e1106de4bbc9098ef28"),
+    ("verify --seed 3 --format json", 0,
+     "b27654c3ebd19e2d94f67cdb1b8506858ef990c9a57d10c9ca130a7f7b50aac4"),
+    ("verify --seed 7 --format csv", 0,
+     "f70c15ca1b924fdf2be6f050612dd94ec782c48393b98fe0429f6718740a24aa"),
+    # q < 0 in json, kind c in csv, a found pair decomposition, kind c
+    # without N
+    ("families --kind a --m 2 --t 3 --s 1 --N 2 --format json", 0,
+     "6632e43297b4123c2eefd49a008d31d18bdb462800f315e11bd7544a776d3ae8"),
+    ("families --kind c --m 4 --t 1 --s 2 --rs 3,2 --N 2 --format csv", 0,
+     "d3482f93e2ca14927cf37ed9bd317180ba09b6d6b71ef210781dba1e922b145a"),
+    ("families --kind b --m 5 --t 2 --s 4 --r 3 --N 2", 0,
+     "bdecbd59510d0af1614294d98630b3ea1c44877cd485215e5f019f6e81eddb67"),
+    ("families --kind c --m 5 --t 0 --s 1 --rs 4,3,2", 0,
+     "1fab662aef51bb8b20fb5743864e00201a7e4c30acecdaf55cf819ec93613461"),
 ]
 
 
