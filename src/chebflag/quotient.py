@@ -37,13 +37,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """F for (xi, m, mu), built and checked by make_spec.  The Euclidean
-    data of mu, the count t of parts equal to m, the net denominator
-    exponent k and the numerator indices are derived on first use."""
+    """F for (xi, m, mu), checked on construction.  The Euclidean data of
+    mu, the count t of parts equal to m, the net denominator exponent k
+    and the numerator indices are derived on first use."""
 
     xi: Partition
     m: int
     mu: int
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError("level m must be >= 1")
+        if self.mu < 0:
+            raise ValueError("mu must be nonnegative")
+        if any(p > self.m for p in self.xi):
+            big = max(self.xi.parts)
+            raise ValueError(f"part {big} exceeds the level m={self.m}")
 
     @cached_property
     def mu1(self) -> int:
@@ -125,13 +134,6 @@ def make_spec(xi: Partition, m: int, mu: int) -> QuotientSpec:
     >>> (sp.mu1, sp.mu0, sp.t, sp.k, sp.alphas)
     (0, 1, 0, 1, (0, 1))
     """
-    if m < 1:
-        raise ValueError("level m must be >= 1")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if any(p > m for p in xi):
-        big = max(xi.parts)
-        raise ValueError(f"part {big} exceeds the level m={m}")
     return QuotientSpec(xi, m, mu)
 
 

@@ -125,18 +125,18 @@ def walk_counts(
     return t.result()
 
 
-def walk_quotient(max_m: int = 6, order: int = 10) -> SuiteResult:
+def walk_quotient() -> SuiteResult:
     """Coefficients of p_a p_{m-1-b} / p_m against strip walk counts from
-    a to b, for a <= b < m <= max_m through x^order."""
+    a to b, for a <= b < m <= 6 through x^10."""
     t = _Tally("walk_quotient")
-    for m in range(1, max_m + 1):
+    for m in range(1, 7):
         pm = p_poly(m)
         for a in range(m):
             for b in range(a, m):
                 series = series_div_unit(
-                    poly_mul(p_poly(a), p_poly(m - 1 - b)), pm, order
+                    poly_mul(p_poly(a), p_poly(m - 1 - b)), pm, 10
                 )
-                for r in range(order + 1):
+                for r in range(11):
                     got = series.coeffs[r]
                     want = strip_walk_count(m, a, b, b - a + 2 * r)
                     t.check(
@@ -146,14 +146,14 @@ def walk_quotient(max_m: int = 6, order: int = 10) -> SuiteResult:
     return t.result()
 
 
-def bijection(max_m: int = 5, max_u: int = 3) -> SuiteResult:
-    """The walk/Dyck bijection for m <= max_m and excess u <= max_u: equal
+def bijection(max_u: int = 3) -> SuiteResult:
+    """The walk/Dyck bijection for m <= 5 and excess u <= max_u: equal
     counts, the image of the walks is exactly the enumerated paths, and
     dyck_to_walk undoes walk_to_dyck on every walk.  The last check makes
     walk_to_dyck injective, and with the image check, a bijection whose
     inverse is dyck_to_walk."""
     t = _Tally("bijection")
-    for m in range(1, max_m + 1):
+    for m in range(1, 6):
         for a in range(m):
             for b in range(m - a):
                 for u in range(max_u + 1):

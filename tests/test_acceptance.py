@@ -74,7 +74,7 @@ def _c2_walk_quotient_three_routes() -> int:
     # series against transfer matrix on 616 cells, and transfer matrix
     # against DFS on every cell those read (m <= 6, L <= 25)
     return _passed(
-        verify.walk_quotient(max_m=6, order=10),
+        verify.walk_quotient(),
         verify.walk_counts(None, max_m=6, max_len=25, extras=0),
     )
 
@@ -84,7 +84,7 @@ def _c3_continuant_identity() -> int:
 
 
 def _c4_bijection_exact() -> int:
-    return _passed(verify.bijection(max_m=5, max_u=4))
+    return _passed(verify.bijection(max_u=4))
 
 
 def _c5_three_way_agreement() -> int:

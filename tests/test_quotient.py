@@ -8,6 +8,7 @@ from chebflag.chebpoly import Partition, p_partition, p_poly
 from chebflag.quotient import (
     CoefficientReport,
     PositivityClass,
+    QuotientSpec,
     classify,
     default_order,
     expand,
@@ -43,6 +44,14 @@ class TestMakeSpec:
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError):
             spec_of([1], 2, -1)
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ValueError, match="part 7 exceeds"):
+            QuotientSpec(Partition((7,)), 3, 0)
+        with pytest.raises(ValueError, match="level m"):
+            QuotientSpec(Partition(()), 0, 0)
+        with pytest.raises(ValueError, match="mu"):
+            QuotientSpec(Partition((1,)), 2, -1)
 
     def test_alpha_order(self):
         sp = spec_of([4, 3, 1], 4, 2)
