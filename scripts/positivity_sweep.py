@@ -10,31 +10,22 @@ import argparse
 import csv
 import itertools
 import sys
-from dataclasses import dataclass
 
 from chebflag.chebpoly import Partition
 from chebflag.quotient import classify, expand, make_spec, positivity_threshold
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    max_m: int = 4
-    max_len: int = 3
-    max_mu: int = 8
-    horizon: int = 120
-    preview: int = 8
-    csv_out: str | None = None
+PREVIEW = 8  # leading coefficients shown per spec
 
 
-def iter_specs(cfg: SweepConfig):
+def iter_specs(ns: argparse.Namespace):
     seen = set()
-    for m in range(1, cfg.max_m + 1):
-        for length in range(cfg.max_len + 1):
+    for m in range(1, ns.max_m + 1):
+        for length in range(ns.max_len + 1):
             for parts in itertools.combinations_with_replacement(
                 range(1, m + 1), length
             ):
                 xi = tuple(sorted(parts, reverse=True))
-                for mu in range(cfg.max_mu + 1):
+                for mu in range(ns.max_mu + 1):
                     key = (xi, m, mu)
                     if key in seen:
                         continue
@@ -42,18 +33,18 @@ def iter_specs(cfg: SweepConfig):
                     yield make_spec(Partition(xi), m, mu)
 
 
-def run(cfg: SweepConfig) -> list[dict]:
+def run(ns: argparse.Namespace) -> list[dict]:
     rows = []
-    for sp in iter_specs(cfg):
+    for sp in iter_specs(ns):
         pc = classify(sp)
         onset = ""
         bound = ""
         if pc.kind == "polynomial":
             bound = pc.degree_bound
         elif pc.kind == "eventually_positive":
-            r0 = positivity_threshold(sp, cfg.horizon)
+            r0 = positivity_threshold(sp, ns.horizon)
             onset = "unresolved" if r0 is None else r0
-        head = expand(sp, cfg.preview).coeffs.coeffs
+        head = expand(sp, PREVIEW).coeffs.coeffs
         rows.append(
             {
                 "xi": ",".join(map(str, sp.xi.parts)),
@@ -77,14 +68,7 @@ def main(argv=None) -> int:
     ap.add_argument("--horizon", type=int, default=120)
     ap.add_argument("--csv", dest="csv_out", default=None)
     ns = ap.parse_args(argv)
-    cfg = SweepConfig(
-        max_m=ns.max_m,
-        max_len=ns.max_len,
-        max_mu=ns.max_mu,
-        horizon=ns.horizon,
-        csv_out=ns.csv_out,
-    )
-    rows = run(cfg)
+    rows = run(ns)
     kinds = {}
     for row in rows:
         kinds[row["class"]] = kinds.get(row["class"], 0) + 1
@@ -96,12 +80,12 @@ def main(argv=None) -> int:
             + f"  a: {row['head']}"
         )
     print(f"total {len(rows)} specs: " + ", ".join(f"{k}={v}" for k, v in sorted(kinds.items())))
-    if cfg.csv_out:
-        with open(cfg.csv_out, "w", newline="") as fh:
+    if ns.csv_out:
+        with open(ns.csv_out, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")
             w.writeheader()
             w.writerows(rows)
-        print(f"wrote {cfg.csv_out}", file=sys.stderr)
+        print(f"wrote {ns.csv_out}", file=sys.stderr)
     return 0
 
 

@@ -40,6 +40,7 @@ from .quotient import (
     PositivityClass,
     QuotientSpec,
     classify,
+    coefficient_index,
     default_order,
     expand,
     make_spec,

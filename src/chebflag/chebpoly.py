@@ -11,7 +11,6 @@ diagnostics only; exact coefficient arithmetic never touches them.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -99,23 +98,6 @@ def p_partition(xi: Partition) -> IntPolynomial:
     return acc
 
 
-def _horner(coeffs: tuple[int, ...], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _residual_tol(coeffs: tuple[int, ...], x: float) -> float:
-    # Attainability floor for the residual of a double-precision root:
-    # evaluation noise plus one-ulp argument uncertainty both scale with
-    # sum |c_i| |x|^i.  The bound exceeds the 1e-9 target only at the
-    # largest roots for m = 10 and m = 12; of those, m = 12 is the one
-    # where no double can actually reach 1e-9 (best is about 1.04e-9).
-    cond = _horner(tuple(abs(c) for c in coeffs), abs(x))
-    return max(1.0e-9, 16.0 * sys.float_info.epsilon * cond)
-
-
 @dataclass(frozen=True)
 class RootData:
     """Roots of p_m, increasing, with the angle step theta = pi/(m+1)."""
@@ -131,18 +113,22 @@ class RootData:
             raise ValueError(
                 f"expected {self.m // 2} roots for m={self.m}, got {len(self.roots)}"
             )
-        prev = 0.0
+        # imported here: fractions pulls in decimal, and only the float
+        # diagnostics, never a CLI command, build root data
+        from fractions import Fraction
+
+        # p_m changes sign across each bracket rho(1 -+ 2^-40), evaluated
+        # exactly, and the brackets are disjoint: p_m has floor(m/2)
+        # roots, one in each
+        pm, w = p_poly(self.m), Fraction(1, 2**40)
+        prev = Fraction(0)
         for rho in self.roots:
-            if not rho > prev:
+            lo, hi = Fraction(rho) * (1 - w), Fraction(rho) * (1 + w)
+            if not prev < lo:
                 raise ValueError("roots must be positive and strictly increasing")
-            prev = rho
-        pm = p_poly(self.m).coeffs
-        for rho in self.roots:
-            res = abs(_horner(pm, rho))
-            if not res < _residual_tol(pm, rho):
-                raise ValueError(
-                    f"root residual {res:.3e} too large at m={self.m}, rho={rho!r}"
-                )
+            if not pm(lo) * pm(hi) < 0:
+                raise ValueError(f"no sign change of p_{self.m} around rho={rho!r}")
+            prev = hi
 
     @property
     def rho1(self) -> float:
@@ -169,4 +155,4 @@ def p_at_rho1(r: int, m: int) -> float:
     """p_r evaluated at the smallest root of p_m; positive for 0 <= r < m."""
     if not 0 <= r < m:
         raise ValueError(f"need 0 <= r < m, got r={r}, m={m}")
-    return _horner(p_poly(r).coeffs, roots_of_pm(m).rho1)
+    return p_poly(r)(roots_of_pm(m).rho1)

@@ -29,6 +29,7 @@ from .families import (
 )
 from .quotient import (
     classify,
+    coefficient_index,
     default_order,
     expand,
     make_spec,
@@ -214,12 +215,12 @@ def _check_length(values, flag: str, ceiling: int) -> None:
 
 
 def _check_indices(xi: Partition, grid, ceiling: int) -> None:
-    # a multiplicity reads coefficient (|xi| - n)/2; refuse before any work
+    # refuse a coefficient index beyond the ceiling before any work
     for n in grid:
-        gap = xi.size - n
-        if n >= 0 and gap >= 0 and gap % 2 == 0 and gap // 2 > ceiling:
+        idx = coefficient_index(xi, n)
+        if idx is not None and idx > ceiling:
             raise CeilingError(
-                f"coefficient index {gap // 2} (n={n}) exceeds ceiling {ceiling}"
+                f"coefficient index {idx} (n={n}) exceeds ceiling {ceiling}"
             )
 
 

@@ -11,14 +11,14 @@ Negative k means surplus cancellation and the quotient is a polynomial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Iterator
 
-from .chebpoly import Partition, p_poly
+from .chebpoly import Partition, p_coeff_closed, p_poly
 from .pathcomb import full_height_count
-from .series import IntPolynomial, TruncatedSeries, poly_prod, series_div_unit
+from .series import (ONE, IntPolynomial, TruncatedSeries, poly_mul, poly_prod,
+                     series_div_unit)
 
 __all__ = [
     "QuotientSpec",
@@ -30,6 +30,7 @@ __all__ = [
     "classify",
     "positivity_threshold",
     "default_order",
+    "coefficient_index",
     "multiplicity",
     "multiplicities",
 ]
@@ -39,7 +40,7 @@ __all__ = [
 class QuotientSpec:
     """F for (xi, m, mu), checked on construction.  The Euclidean data of
     mu, the count t of parts equal to m, the net denominator exponent k
-    and the numerator indices are derived on first use."""
+    and the numerator indices are derived on each read."""
 
     xi: Partition
     m: int
@@ -50,29 +51,29 @@ class QuotientSpec:
             raise ValueError("level m must be >= 1")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-        if any(p > self.m for p in self.xi):
-            big = max(self.xi.parts)
-            raise ValueError(f"part {big} exceeds the level m={self.m}")
+        if self.xi.length and self.xi.parts[0] > self.m:  # parts nonincreasing
+            raise ValueError(f"part {self.xi.parts[0]} exceeds the level m={self.m}")
 
-    @cached_property
+    @property
     def mu1(self) -> int:
         return self.mu // self.m
 
-    @cached_property
+    @property
     def mu0(self) -> int:
         return self.mu % self.m
 
-    @cached_property
+    @property
     def t(self) -> int:
-        return sum(1 for p in self.xi if p == self.m)
+        return self.xi.parts.count(self.m)
 
-    @cached_property
+    @property
     def k(self) -> int:
         return self.mu1 + 1 - self.t
 
-    @cached_property
+    @property
     def alphas(self) -> tuple[int, ...]:
-        return (self.m - self.mu0 - 1,) + tuple(p for p in self.xi if p < self.m)
+        # parts are nonincreasing and at most m: the t parts equal to m lead
+        return (self.m - self.mu0 - 1,) + self.xi.parts[self.t :]
 
     def numerator(self, order: int | None = None) -> IntPolynomial:
         """prod p_alpha, truncated after x^order when order is given."""
@@ -82,11 +83,10 @@ class QuotientSpec:
 @dataclass(frozen=True)
 class PositivityClass:
     """One of constant_one, polynomial (with a degree bound), or
-    eventually_positive (optionally with an empirical threshold r0)."""
+    eventually_positive."""
 
     kind: str
     degree_bound: int | None = None
-    threshold: int | None = None
 
     _KINDS = ("constant_one", "polynomial", "eventually_positive")
 
@@ -95,20 +95,6 @@ class PositivityClass:
             raise ValueError(f"kind must be one of {self._KINDS}")
         if (self.kind == "polynomial") != (self.degree_bound is not None):
             raise ValueError("degree_bound goes with the polynomial kind only")
-        if self.threshold is not None and self.kind != "eventually_positive":
-            raise ValueError("threshold goes with eventually_positive only")
-
-    @classmethod
-    def constant_one(cls) -> "PositivityClass":
-        return cls("constant_one")
-
-    @classmethod
-    def polynomial(cls, degree_bound: int) -> "PositivityClass":
-        return cls("polynomial", degree_bound=degree_bound)
-
-    @classmethod
-    def eventually_positive(cls, threshold: int | None = None) -> "PositivityClass":
-        return cls("eventually_positive", threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -116,12 +102,7 @@ class CoefficientReport:
     """Exact coefficients a_0..a_order of the quotient a spec describes."""
 
     spec: QuotientSpec
-    order: int
     coeffs: TruncatedSeries
-
-    def __post_init__(self) -> None:
-        if self.coeffs.order != self.order:
-            raise ValueError("series order does not match report order")
 
 
 def make_spec(xi: Partition, m: int, mu: int) -> QuotientSpec:
@@ -137,28 +118,41 @@ def make_spec(xi: Partition, m: int, mu: int) -> QuotientSpec:
     return QuotientSpec(xi, m, mu)
 
 
-def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
-    """Exact coefficients a_0..a_order of F.
+def _over_pm(factors: list[IntPolynomial], m: int,
+             wants: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """Coefficients of prod(factors) / p_m^k through x^top, for each
+    (k, top) of wants in ascending k.  Each top is at most the first.
 
-    Every product is built only through x^order.  For k <= 0 the
-    denominator cancels completely and F is the polynomial
-    prod p_alpha * p_m^(-k), padded with zeros.  Otherwise the numerator
-    is divided by p_m k times, each truncated division feeding the next:
-    the divisor keeps the small coefficients (-1)^j C(m-j, j) instead of
-    the wide ones of p_m^k, and truncation commutes with the division, so
-    the coefficients are exactly those of one division by p_m^k.
+    The product is built once, through the first top.  For k <= 0 the
+    denominator cancels and the product is multiplied by p_m^(-k).  For
+    k > 0 one chain of truncated divisions by p_m is advanced through the
+    ks and never restarted: the divisor keeps the small coefficients
+    (-1)^j C(m-j, j) instead of the wide ones of p_m^k, and truncation
+    commutes with the division, so each link holds exactly the
+    coefficients of one division by p_m^k.
     """
+    pm = p_poly(m)
+    chain, layers = None, 0
+    for k, top in wants:
+        if chain is None:
+            chain = poly_prod(factors, top)
+        if k <= 0:
+            yield poly_prod([chain] + [pm] * -k, top).coeffs
+            continue
+        while layers < k:
+            chain = series_div_unit(chain, pm, top)
+            layers += 1
+        yield chain.coeffs
+
+
+def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
+    """Exact coefficients a_0..a_order of F, built only through x^order;
+    a polynomial F (k <= 0) is padded with zeros."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    pm = p_poly(spec.m)
-    if spec.k <= 0:
-        poly = poly_prod([p_poly(a) for a in spec.alphas] + [pm] * -spec.k, order)
-        series = TruncatedSeries([poly[i] for i in range(order + 1)], order)
-    else:
-        series = spec.numerator(order)
-        for _ in range(spec.k):
-            series = series_div_unit(series, pm, order)
-    return CoefficientReport(spec, order, series)
+    cs = next(_over_pm([p_poly(a) for a in spec.alphas], spec.m, [(spec.k, order)]))
+    series = TruncatedSeries(cs + (0,) * (order + 1 - len(cs)), order)
+    return CoefficientReport(spec, series)
 
 
 @lru_cache(maxsize=None)
@@ -175,43 +169,37 @@ def _b_convolved(m: int, slots: int, total: int) -> int:
 def signed_coefficient(spec: QuotientSpec, r: int) -> int:
     """a_r by the signed tuple count: sum over j_0..j_L, u_1..u_k with
     sum r of (-1)^(sum j) * prod C(alpha_i - j_i, j_i) * prod B_m(u_nu),
-    the B product read as 1 when k = 0.
-
-    Nested bounded loops; each j_i stops at floor(alpha_i / 2) where the
-    binomial dies.  Only defined for k >= 0.
+    the B product read as 1 when k = 0.  The j-part is the product of the
+    closed-form vectors of the p_alpha through x^r, convolved once with
+    the B-part; neither the recurrence for p_r nor a division is used, so
+    the route stays independent of expand.  Only defined for k >= 0.
     """
     if spec.k < 0:
         raise ValueError("signed formula requires k >= 0; expand instead")
     if r < 0:
         raise ValueError("coefficient index must be nonnegative")
-    alphas = spec.alphas
+    num = ONE
+    for a in spec.alphas:
+        closed = IntPolynomial(p_coeff_closed(a, j) for j in range(min(a // 2, r) + 1))
+        num = poly_mul(num, closed)
     m, k = spec.m, spec.k
-    total = 0
+    return sum(c * _b_convolved(m, k, r - j) for j, c in enumerate(num.coeffs[: r + 1]))
 
-    def go(i: int, rem: int, weight: int) -> None:
-        nonlocal total
-        if i == len(alphas):
-            total += weight * _b_convolved(m, k, rem)
-            return
-        a = alphas[i]
-        for j in range(min(a // 2, rem) + 1):
-            w = math.comb(a - j, j)
-            go(i + 1, rem - j, weight * w if j % 2 == 0 else -weight * w)
 
-    go(0, r, 1)
-    return total
+def _degree_bound(spec: QuotientSpec) -> int:
+    # deg p_a = a // 2, so prod p_alpha * p_m^(-k) has degree at most this
+    return (sum(spec.alphas) + max(-spec.k, 0) * spec.m) // 2
 
 
 def classify(spec: QuotientSpec) -> PositivityClass:
-    """The trichotomy: m=1 gives the constant 1; t >= mu1+1 makes F a
-    polynomial with an explicit degree bound; otherwise coefficients are
+    """The trichotomy: m=1 gives the constant 1; k <= 0 (t >= mu1+1) makes
+    F a polynomial with an explicit degree bound; otherwise coefficients are
     eventually strictly positive (simple growth from the pole at rho_1)."""
     if spec.m == 1:
-        return PositivityClass.constant_one()
-    if spec.t >= spec.mu1 + 1:
-        bound = (sum(spec.alphas) + (spec.t - spec.mu1 - 1) * spec.m) // 2
-        return PositivityClass.polynomial(bound)
-    return PositivityClass.eventually_positive()
+        return PositivityClass("constant_one")
+    if spec.k <= 0:
+        return PositivityClass("polynomial", _degree_bound(spec))
+    return PositivityClass("eventually_positive")
 
 
 def positivity_threshold(spec: QuotientSpec, horizon: int) -> int | None:
@@ -236,8 +224,16 @@ def default_order(spec: QuotientSpec) -> int:
     """Heuristic sweep order: past the polynomial degree bound and deep
     enough that pole growth dominates.  Recorded as a heuristic; there is
     no effective bound for where positivity must set in."""
-    bound = (sum(spec.alphas) + max(-spec.k, 0) * spec.m) // 2
-    return max(bound, 4 * spec.m * (max(spec.k, 0) + 1) + 40)
+    return max(_degree_bound(spec), 4 * spec.m * (max(spec.k, 0) + 1) + 40)
+
+
+def coefficient_index(xi: Partition, n: int) -> int | None:
+    """The coefficient (|xi| - n)/2 that the multiplicity of weight n
+    reads, or None when n < 0 or |xi| - n is negative or odd."""
+    gap = xi.size - n
+    if n < 0 or gap < 0 or gap % 2:
+        return None
+    return gap // 2
 
 
 def multiplicity(xi: Partition, m: int, n: int) -> int:
@@ -258,48 +254,27 @@ def multiplicities(xi: Partition, m: int, ns: Iterable[int]) -> list[int]:
     """multiplicity(xi, m, n) for each n of a grid, in one pass.
 
     With mu = n, F = p_{m-mu0-1} * G_k, where G_k is the product of p_part
-    over the parts below m, divided by p_m^k (times p_m^(-k) for k <= 0);
-    it depends on n only through k.  So the product is built once, and
-    one chain of divisions by p_m, advanced through the grid's k in
-    ascending order and never restarted, gives every G_k with k > 0.
-    Larger k means larger n and a smaller index, so each G_k is carried
-    only as far as its own rows read it.  Each row is then a short
-    convolution with p_{m-mu0-1}.
+    over the parts below m divided by p_m^k; it depends on n only through
+    k.  One division chain gives every G_k.  Larger k means larger n and a
+    smaller index, so each G_k is carried only as far as its own rows read
+    it.  Each row is then a short convolution with p_{m-mu0-1}.
 
     >>> multiplicities(Partition([2, 2, 1, 1, 1, 1]), 3, range(-1, 9))
     [0, 2, 0, 2, 0, 5, 0, 3, 0, 1]
     """
-    if m < 1:
-        raise ValueError("level m must be >= 1")
-    if xi.length and xi.parts[0] > m:
-        raise ValueError(f"part {xi.parts[0]} exceeds the level m={m}")
+    base = make_spec(xi, m, 0)  # checks m and the parts, also for an empty grid
     ns = list(ns)
-    t = sum(1 for p in xi if p == m)
     rows: dict[int, list[tuple[int, int, int]]] = {}  # k -> (slot, index, alpha0)
     for slot, n in enumerate(ns):
-        gap = xi.size - n
-        if n < 0 or gap < 0 or gap % 2:
-            continue
-        mu1, mu0 = divmod(n, m)
-        rows.setdefault(mu1 + 1 - t, []).append((slot, gap // 2, m - mu0 - 1))
-    out = [0] * len(ns)
-    if not rows:
-        return out
-    # k grows with n and the index shrinks, so the rows at k read G_k no
-    # further than their own largest index, and the first k reads furthest
-    tops = {k: max(idx for _, idx, _ in group) for k, group in rows.items()}
+        idx = coefficient_index(xi, n)
+        if idx is not None:
+            sp = make_spec(xi, m, n)
+            rows.setdefault(sp.k, []).append((slot, idx, sp.alphas[0]))
     ks = sorted(rows)
-    pm = p_poly(m)
-    base = poly_prod([p_poly(p) for p in xi if p < m], tops[ks[0]])
-    chain, layers = base, 0
-    for k in ks:
-        if k <= 0:
-            cs = poly_prod([base] + [pm] * -k, tops[k]).coeffs
-        else:
-            while layers < k:
-                chain = series_div_unit(chain, pm, tops[k])
-                layers += 1
-            cs = chain.coeffs
+    wants = [(k, max(idx for _, idx, _ in rows[k])) for k in ks]
+    out = [0] * len(ns)
+    factors = [p_poly(a) for a in base.alphas[1:]]  # the parts below m
+    for k, cs in zip(ks, _over_pm(factors, m, wants)):
         for slot, idx, a0 in rows[k]:
             # [x^idx] p_a0 * G_k; cs may stop short of idx when G_k is a
             # polynomial of lower degree

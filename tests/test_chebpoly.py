@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,8 +7,6 @@ from hypothesis import given, strategies as st
 from chebflag.chebpoly import (
     Partition,
     RootData,
-    _horner,
-    _residual_tol,
     p_at_rho1,
     p_coeff_closed,
     p_partition,
@@ -123,32 +122,26 @@ class TestRoots:
             assert len(rd.roots) == m // 2
             assert all(r > 0 for r in rd.roots)
             assert all(a < b for a, b in zip(rd.roots, rd.roots[1:]))
-            pm = p_poly(m).coeffs
+            pm = p_poly(m)
             for j, rho in enumerate(rd.roots, start=1):
-                res = abs(_horner(pm, rho))
                 if (m, j) == (12, 6):
                     # the one root where 1e-9 is unattainable in doubles:
                     # |p'(rho)| ~ 1.2e6 and ulp(rho) ~ 3.6e-15 put the
                     # floor for any stored double near 2e-9; hold it to
-                    # the conditioning-aware bound instead
-                    assert res < _residual_tol(pm, rho)
+                    # the exact bracket instead
+                    w = Fraction(1, 2**40)
+                    assert pm(Fraction(rho) * (1 - w)) * pm(Fraction(rho) * (1 + w)) < 0
                 else:
-                    assert res < 1e-9, (m, j, res)
+                    assert abs(pm(rho)) < 1e-9, (m, j, pm(rho))
 
-    def test_residual_tol_is_strict_except_pinned_cases(self):
-        # the relaxation must not silently spread to other roots; the
-        # conditioning term crosses the 1e-9 floor only at the two
-        # largest even-m roots (the achieved residual at (10, 5) still
-        # meets 1e-9, see the structure test above)
-        loose = {(10, 5): 3e-9, (12, 6): 3e-7}
-        for m in range(2, 13):
-            pm = p_poly(m).coeffs
-            for j, rho in enumerate(roots_of_pm(m).roots, start=1):
-                tol = _residual_tol(pm, rho)
-                if (m, j) in loose:
-                    assert 1e-9 < tol < loose[m, j], (m, j, tol)
-                else:
-                    assert tol == 1e-9, (m, j)
+    def test_builds_where_float_residuals_fail(self):
+        # at these larger m the float residual of some root exceeds any
+        # fixed tolerance; the exact brackets still prove every root
+        past = [54, 88, 94, 100, 106, 108, 110, 114, 118, 122, 126, 128]
+        for m in list(range(2, 21)) + past:
+            rd = roots_of_pm(m)
+            assert len(rd.roots) == m // 2
+            assert rd.rho1 > 1 / 4, m  # 1/(4 cos^2(pi/(m+1)))
 
     def test_rootdata_validates(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from chebflag.chebpoly import Partition, p_partition, p_poly
 from chebflag.quotient import (
-    CoefficientReport,
     PositivityClass,
     QuotientSpec,
     classify,
@@ -87,11 +86,6 @@ class TestExpand:
         for parts, mu in [((), 0), ((1, 1), 2), ((1, 1, 1), 5)]:
             cs = expand(spec_of(parts, 1, mu), 6).coeffs.coeffs
             assert cs == (1, 0, 0, 0, 0, 0, 0)
-
-    def test_report_rejects_mismatched_order(self):
-        rep = expand(spec_of([1], 2, 1), 2)
-        with pytest.raises(ValueError):
-            CoefficientReport(rep.spec, 3, rep.coeffs)
 
     def test_reduced_equals_unreduced(self):
         # dividing prod p_alpha by p_m^k must match the raw form
@@ -184,6 +178,23 @@ class TestSignedCoefficient:
                         assert signed_coefficient(sp, r) == cs[r], (parts, m, mu, r)
 
 
+    def test_independent_of_division(self, monkeypatch):
+        # the signed route must not reach the products or divisions that
+        # expand is built from, or the cross-check would check nothing
+        specs = [spec_of([2, 1], 2, 1), spec_of([3, 2], 4, 1),
+                 spec_of([1, 1], 2, 2), spec_of([4, 3], 5, 12)]
+        assert [sp.k for sp in specs] == [0, 1, 2, 3]
+        want = [expand(sp, 12).coeffs.coeffs for sp in specs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("signed route reached the division route")
+
+        monkeypatch.setattr("chebflag.quotient.poly_prod", refuse)
+        monkeypatch.setattr("chebflag.quotient.series_div_unit", refuse)
+        for sp, cs in zip(specs, want):
+            assert [signed_coefficient(sp, r) for r in range(13)] == list(cs)
+
+
 class TestClassify:
     def test_polynomial_branch(self):
         pc = classify(spec_of([2, 2], 2, 0))
@@ -201,8 +212,6 @@ class TestClassify:
             PositivityClass("nonsense")
         with pytest.raises(ValueError):
             PositivityClass("polynomial")
-        with pytest.raises(ValueError):
-            PositivityClass("constant_one", threshold=3)
 
     def test_polynomial_bound_holds(self):
         # beyond the bound everything vanishes, and multiplying back by

@@ -32,12 +32,3 @@ def test_positivity_sweep(capsys, argv, total):
         assert len(lines) - 1 == total
     assert all(" k=" in line and "  a: " in line for line in lines[:-1])
 
-
-def test_ratio_convergence(capsys):
-    assert _load("ratio_convergence").main([]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "window r in [80, 120]"
-    rows = [line.split() for line in lines[2:]]
-    assert len(rows) == 8
-    # a simple pole (k = 1) converges geometrically
-    assert all(float(row[-2]) < 1e-3 for row in rows if row[-3] == "1")
