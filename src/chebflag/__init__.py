@@ -25,6 +25,7 @@ from .pathcomb import (
     StripWalk,
     continuant_det,
     dyck_count,
+    dyck_counts,
     dyck_to_walk,
     enumerate_dyck,
     enumerate_matchings,
@@ -33,6 +34,7 @@ from .pathcomb import (
     matching_count,
     strip_walk_count,
     strip_walk_count_dfs,
+    strip_walk_counts,
     walk_to_dyck,
 )
 from .quotient import (

@@ -152,7 +152,18 @@ def roots_of_pm(m: int) -> RootData:
 
 
 def p_at_rho1(r: int, m: int) -> float:
-    """p_r evaluated at the smallest root of p_m; positive for 0 <= r < m."""
+    """p_r evaluated at the smallest root of p_m; positive for 0 <= r < m.
+
+    With theta = pi/(m+1) the root is 1/(4 cos^2 theta), where p_r takes
+    the value sin((r+1) theta) / (sin theta (2 cos theta)^r).  Every
+    factor is positive for r < m, so the float is too, where Horner on
+    the alternating coefficients of p_r cancels to <= 0 once m >= 46.
+    """
     if not 0 <= r < m:
         raise ValueError(f"need 0 <= r < m, got r={r}, m={m}")
-    return p_poly(r)(roots_of_pm(m).rho1)
+    if m < 2:
+        raise ValueError("p_0 and p_1 are constant; roots need m >= 2")
+    if r <= 1:
+        return 1.0  # p_0 = p_1 = 1, exactly
+    theta = math.pi / (m + 1)
+    return math.sin((r + 1) * theta) / (math.sin(theta) * (2 * math.cos(theta)) ** r)

@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .chebpoly import Partition
 from .families import (
@@ -96,7 +97,10 @@ def _ceiling() -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parsing keeps no state in the parser, and
+    # the ceiling is read from the environment on every call instead
     ap = argparse.ArgumentParser(
         prog="chebflag",
         description="exact Chebyshev-type quotient coefficients, positivity "

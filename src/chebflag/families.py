@@ -11,9 +11,10 @@ visibly nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .chebpoly import Partition, p_poly
-from .pathcomb import DyckConstraint, dyck_count
+from .pathcomb import DyckConstraint, dyck_counts
 from .quotient import QuotientSpec, expand, make_spec
 from .series import IntPolynomial, coeff, poly_mul
 
@@ -112,16 +113,26 @@ def find_pair_decomposition(spec: QuotientSpec) -> PairDecomposition | None:
 
 def product_model_coeff(dec: PairDecomposition, r: int) -> int:
     """Number of k-tuples of constrained Dyck paths with total excess r:
-    the convolution over the pairs of the per-pair counts D_m(a, b; u)."""
+    the convolution over the pairs of the per-pair counts D_m(a, b; u).
+
+    Each distinct pair is counted once, for every u <= r together.  The
+    convolution of the first pair's counts runs through x^r over every
+    pair but the last, whose counts meet it in one dot product for
+    coefficient r.
+    """
     if r < 0:
         raise ValueError("coefficient index must be nonnegative")
-    vec = [1] + [0] * r
-    for a, b in dec.pairs:
-        counts = [dyck_count(DyckConstraint(dec.m, a, b, u)) for u in range(r + 1)]
-        vec = [
-            sum(vec[i] * counts[n - i] for i in range(n + 1)) for n in range(r + 1)
-        ]
-    return vec[r]
+    if not dec.pairs:
+        return int(r == 0)
+    counts = {
+        pair: dyck_counts(DyckConstraint(dec.m, *pair, r)) for pair in set(dec.pairs)
+    }
+    vec, *rest = (counts[pair] for pair in dec.pairs)
+    if not rest:
+        return vec[r]
+    for c in rest[:-1]:
+        vec = [sum(map(mul, vec[: n + 1], c[n::-1])) for n in range(r + 1)]
+    return sum(map(mul, vec, reversed(rest[-1])))
 
 
 @dataclass(frozen=True)

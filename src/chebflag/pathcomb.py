@@ -21,11 +21,13 @@ __all__ = [
     "DyckConstraint",
     "matching_count",
     "enumerate_matchings",
+    "strip_walk_counts",
     "strip_walk_count",
     "strip_walk_count_dfs",
     "enumerate_strip_walks",
     "full_height_count",
     "dyck_count",
+    "dyck_counts",
     "enumerate_dyck",
     "walk_to_dyck",
     "dyck_to_walk",
@@ -153,17 +155,23 @@ def enumerate_matchings(r: int, j: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def strip_walk_count(m: int, a: int, b: int, L: int) -> int:
-    """Walks of length L from a to b on the strip, by transfer matrix.
+def strip_walk_counts(m: int, a: int, b: int, L: int) -> list[int]:
+    """Walks from a to b on the strip of every length 0..L, by transfer
+    matrix.
 
-    One exact integer vector of length m is pushed through L steps, so
-    the cost is O(L*m) and L in the hundreds is cheap.
+    One exact integer vector of length m is pushed through L steps and
+    its entry at b is read after each, so all L+1 counts together cost
+    O(L*m) and L in the hundreds is cheap.
+
+    >>> strip_walk_counts(3, 0, 2, 6)
+    [0, 0, 1, 0, 2, 0, 4]
     """
     _check_strip_args(m, a, b)
     if L < 0:
         raise ValueError("length must be nonnegative")
     v = [0] * m
     v[a] = 1
+    out = [v[b]]
     for _ in range(L):
         nxt = [0] * m
         for h, c in enumerate(v):
@@ -173,7 +181,14 @@ def strip_walk_count(m: int, a: int, b: int, L: int) -> int:
                 if h < m - 1:
                     nxt[h + 1] += c
         v = nxt
-    return v[b]
+        out.append(v[b])
+    return out
+
+
+def strip_walk_count(m: int, a: int, b: int, L: int) -> int:
+    """Walks of length L from a to b on the strip: the last entry of
+    strip_walk_counts."""
+    return strip_walk_counts(m, a, b, L)[L]
 
 
 def strip_walk_count_dfs(m: int, a: int, b: int, L: int) -> int:
@@ -270,6 +285,17 @@ def full_height_count(m: int, u: int) -> int:
 def dyck_count(c: DyckConstraint) -> int:
     """D_m(a,b;u), counted through the walk bijection."""
     return strip_walk_count(c.m, c.a, c.m - 1 - c.b, c.m - 1 - c.a - c.b + 2 * c.u)
+
+
+def dyck_counts(c: DyckConstraint) -> list[int]:
+    """D_m(a,b;u) for every excess u = 0..c.u, read from one pass of the
+    transfer matrix: excess u is walk length m-1-a-b+2u.
+
+    >>> dyck_counts(DyckConstraint(4, 1, 1, 3))
+    [1, 3, 8, 21]
+    """
+    first = c.m - 1 - c.a - c.b
+    return strip_walk_counts(c.m, c.a, c.m - 1 - c.b, first + 2 * c.u)[first::2]
 
 
 def enumerate_dyck(c: DyckConstraint) -> list[DyckPath]:

@@ -166,7 +166,20 @@ class TestPAtRho1:
         with pytest.raises(ValueError):
             p_at_rho1(-1, 3)
 
-    def test_positive_through_12(self):
-        for m in range(2, 13):
+    def test_positive_through_128(self):
+        # Horner on the coefficients of p_r cancels to <= 0 first at
+        # (r, m) = (45, 46); the closed form stays positive
+        for m in range(2, 129):
             for r in range(m):
                 assert p_at_rho1(r, m) > 0, (r, m)
+
+    def test_matches_horner_through_12(self):
+        # where Horner does not cancel, the closed form is p_r at rho1
+        for m in range(2, 13):
+            rho1 = roots_of_pm(m).rho1
+            for r in range(m):
+                assert abs(p_at_rho1(r, m) - p_poly(r)(rho1)) < 1e-15, (r, m)
+
+    def test_rejects_constant_pm(self):
+        with pytest.raises(ValueError):
+            p_at_rho1(0, 1)

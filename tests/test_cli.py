@@ -81,6 +81,21 @@ class TestCeiling:
         assert code == 4
         assert "ceiling" in err
 
+    def test_each_call_reads_its_own_ceiling(self, capsys, monkeypatch):
+        # the parser is built once per process, the ceiling is not
+        from chebflag.cli import _build_parser
+
+        argv = ["expand", "--xi", "1", "--m", "2", "--mu", "1", "--order", "100"]
+        monkeypatch.setenv("CHEBFLAG_CEILING", "50")
+        code, out, err = run_main(capsys, argv)
+        assert code == 4 and out == "" and "ceiling" in err
+        monkeypatch.setenv("CHEBFLAG_CEILING", "100")
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0 and out
+        monkeypatch.setenv("CHEBFLAG_CEILING", "99")
+        assert run_main(capsys, argv)[0] == 4
+        assert _build_parser() is _build_parser()
+
     def test_invalid_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CHEBFLAG_CEILING", "banana")
         code, _, err = run_main(

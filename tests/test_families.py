@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chebflag.chebpoly import Partition
 from chebflag.families import (
@@ -12,11 +15,35 @@ from chebflag.families import (
     product_model_coeff,
 )
 from chebflag.pathcomb import DyckConstraint, dyck_count
-from chebflag.quotient import make_spec, multiplicity
+from chebflag.quotient import expand, make_spec, multiplicity
 
 
 def spec_of(parts, m, mu):
     return make_spec(Partition(parts), m, mu)
+
+
+def reference_product_model(dec, r):
+    """The product model counted the long way: each D_m(a, b; u) on its
+    own, then the full convolution through x^r over every pair."""
+    vec = [1] + [0] * r
+    for a, b in dec.pairs:
+        counts = [dyck_count(DyckConstraint(dec.m, a, b, u)) for u in range(r + 1)]
+        vec = [
+            sum(vec[i] * counts[n - i] for i in range(n + 1)) for n in range(r + 1)
+        ]
+    return vec[r]
+
+
+@st.composite
+def decompositions(draw):
+    # pairs drawn from a pool of at most three, so repeats are common
+    m = draw(st.integers(1, 9))
+    pair = st.integers(0, m - 1).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, m - 1 - a))
+    )
+    pool = draw(st.lists(pair, min_size=1, max_size=3))
+    pairs = draw(st.lists(st.sampled_from(pool), max_size=5))
+    return PairDecomposition(m, tuple(pairs))
 
 
 class TestPairDecomposition:
@@ -89,8 +116,6 @@ class TestProductModel:
             product_model_coeff(PairDecomposition(2, ((0, 0),)), -1)
 
     def test_matches_division_route(self):
-        from chebflag.quotient import expand
-
         for parts, m, mu in [((1,), 2, 1), ((2,), 3, 2), ((3, 2), 6, 11)]:
             sp = spec_of(parts, m, mu)
             dec = find_pair_decomposition(sp)
@@ -98,6 +123,64 @@ class TestProductModel:
             cs = expand(sp, 8).coeffs.coeffs
             for r in range(9):
                 assert product_model_coeff(dec, r) == cs[r]
+
+    def test_no_pairs(self):
+        dec = PairDecomposition(3, ())
+        assert [product_model_coeff(dec, r) for r in range(4)] == [1, 0, 0, 0]
+
+    @given(decompositions(), st.integers(0, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, dec, r):
+        assert product_model_coeff(dec, r) == reference_product_model(dec, r)
+
+    def test_matches_expand_through_300(self):
+        # crosscheck asks for coefficients up to 300
+        for fq in [
+            FamilyQuery("a", 5, 1, 7),
+            FamilyQuery("b", 6, 1, 3, r=4),
+            FamilyQuery("c", 7, 1, 6, rs=(5, 3)),
+        ]:
+            model = family_quotient(fq)
+            dec = model.decomposition
+            assert dec is not None and dec.k >= 2
+            cs = expand(model.spec, 300).coeffs.coeffs
+            for r in range(301):
+                assert product_model_coeff(dec, r) == cs[r], (fq, r)
+
+    def test_one_count_per_distinct_pair(self, monkeypatch):
+        import chebflag.families
+
+        real = chebflag.families.dyck_counts
+        seen = []
+
+        def counting(c):
+            seen.append((c.a, c.b))
+            return real(c)
+
+        monkeypatch.setattr(chebflag.families, "dyck_counts", counting)
+        dec = PairDecomposition(6, ((0, 2),) + ((0, 0),) * 8)
+        assert product_model_coeff(dec, 40) == reference_product_model(dec, 40)
+        assert sorted(seen) == [(0, 0), (0, 2)]
+
+    def test_independent_of_division(self, monkeypatch):
+        # the product model counts walks only: it must not reach the
+        # products, divisions or p recurrence that expand is built from
+        specs = [spec_of([1], 2, 1), spec_of([3, 2], 6, 11),
+                 spec_of([], 3, 6), spec_of([4, 2], 5, 16)]
+        decs = [find_pair_decomposition(sp) for sp in specs]
+        assert [dec.k for dec in decs] == [1, 2, 3, 4]
+        want = [expand(sp, 20).coeffs.coeffs for sp in specs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("product model reached the division route")
+
+        for name, module in list(sys.modules.items()):
+            if name == "chebflag" or name.startswith("chebflag."):
+                for attr in ("poly_prod", "series_div_unit", "p_poly"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        for dec, cs in zip(decs, want):
+            assert [product_model_coeff(dec, r) for r in range(21)] == list(cs)
 
 
 class TestFamilyQuery:

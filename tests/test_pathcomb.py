@@ -10,6 +10,7 @@ from chebflag.pathcomb import (
     StripWalk,
     continuant_det,
     dyck_count,
+    dyck_counts,
     dyck_to_walk,
     enumerate_dyck,
     enumerate_matchings,
@@ -18,6 +19,7 @@ from chebflag.pathcomb import (
     matching_count,
     strip_walk_count,
     strip_walk_count_dfs,
+    strip_walk_counts,
     walk_to_dyck,
 )
 from chebflag.series import poly_mul, series_div_unit
@@ -142,6 +144,22 @@ class TestStripWalkCounts:
         assert strip_walk_count(1, 0, 0, 0) == 1
         assert strip_walk_count(1, 0, 0, 2) == 0
 
+    def test_every_length_matches_dfs(self):
+        for m in range(1, 7):
+            for a in range(m):
+                for b in range(m):
+                    full = strip_walk_counts(m, a, b, 20)
+                    assert full == [strip_walk_count_dfs(m, a, b, L) for L in range(21)]
+                    for L in range(21):
+                        assert strip_walk_counts(m, a, b, L) == full[: L + 1]
+                        assert strip_walk_count(m, a, b, L) == full[L]
+
+    def test_counts_reject_bad_arguments(self):
+        with pytest.raises(ValueError):
+            strip_walk_counts(3, 0, 3, 2)
+        with pytest.raises(ValueError):
+            strip_walk_counts(3, 0, 2, -1)
+
 
 class TestFullHeight:
     def test_minimal_walk_unique(self):
@@ -207,6 +225,20 @@ class TestDyck:
                     for u in range(5):
                         c = DyckConstraint(m, a, b, u)
                         assert dyck_count(c) == len(enumerate_dyck(c))
+
+    def test_every_excess_matches_enumeration(self):
+        # every excess up to the enumeration guard, semilength 12, for
+        # m <= 4; semilength 9 keeps m = 5..7 cheap
+        for m in range(1, 8):
+            limit = 12 if m <= 4 else 9
+            for a in range(m):
+                for b in range(m - a):
+                    top = limit - (m - 1 - b)
+                    want = [
+                        len(enumerate_dyck(DyckConstraint(m, a, b, u)))
+                        for u in range(top + 1)
+                    ]
+                    assert dyck_counts(DyckConstraint(m, a, b, top)) == want
 
 
 class TestBijection:

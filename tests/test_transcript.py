@@ -9,7 +9,10 @@ The first fourteen were recorded before the layered division and the
 direct csv rows went in; the last three tables and the k <= 0 mult were
 recorded before a table shared one numerator and one division chain
 across its rows; the verify and families cases were recorded before the
-acceptance gate and verify came to share one set of suites.
+acceptance gate and verify came to share one set of suites; the three
+families cases with many repeated pairs and N in the tens were recorded
+before the product model read all excesses of a pair from one
+transfer-matrix pass.
 """
 
 import hashlib
@@ -78,6 +81,13 @@ CORPUS = [
      "bdecbd59510d0af1614294d98630b3ea1c44877cd485215e5f019f6e81eddb67"),
     ("families --kind c --m 5 --t 0 --s 1 --rs 4,3,2", 0,
      "1fab662aef51bb8b20fb5743864e00201a7e4c30acecdaf55cf819ec93613461"),
+    # product models over many repeated pairs with N in the tens
+    ("families --kind a --m 6 --t 1 --s 170 --N 60 --format json", 0,
+     "2b13f172f64d98c6a85864da6b62dae571b4adc807e4a76ca990fb311f760313"),
+    ("families --kind c --m 7 --t 2 --s 150 --rs 5,3,2 --N 50 --format csv", 0,
+     "8f7cf7fc379d89c7541a6adbcab8337d2ef07272e0f0645f48b16b3cd9fb42f7"),
+    ("families --kind b --m 8 --t 0 --s 200 --r 6 --N 80", 0,
+     "aabd95cb96efb39fb26fccdf2fd970bb835372c38c5eaf77dde40f197bacebe5"),
 ]
 
 
