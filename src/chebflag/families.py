@@ -1,6 +1,6 @@
 """Unsigned product models: pair decompositions of the numerator, the
 three explicit families (m^t, 1^s), (m^t, r, 1^s), (m^t, r_1..r_d, 1^s),
-and the direct multiplicity formulas with their edge cases.
+and their multiplicities with the edge cases.
 
 A pair decomposition writes prod p_alpha as prod p_a * p_b over k pairs
 with a + b <= m - 1.  When one exists, coefficient r of F counts k-tuples
@@ -11,12 +11,11 @@ visibly nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .chebpoly import Partition, p_poly
 from .pathcomb import DyckConstraint, dyck_counts
 from .quotient import QuotientSpec, expand, make_spec
-from .series import IntPolynomial, coeff, poly_mul
+from .series import IntPolynomial, coeff, poly_mul, product_coeff
 
 __all__ = [
     "PairDecomposition",
@@ -113,26 +112,12 @@ def find_pair_decomposition(spec: QuotientSpec) -> PairDecomposition | None:
 
 def product_model_coeff(dec: PairDecomposition, r: int) -> int:
     """Number of k-tuples of constrained Dyck paths with total excess r:
-    the convolution over the pairs of the per-pair counts D_m(a, b; u).
-
-    Each distinct pair is counted once, for every u <= r together.  The
-    convolution of the first pair's counts runs through x^r over every
-    pair but the last, whose counts meet it in one dot product for
-    coefficient r.
-    """
+    [x^r] of the product over the pairs of the per-pair counts
+    D_m(a, b; u), each distinct pair counted once for every u <= r."""
     if r < 0:
         raise ValueError("coefficient index must be nonnegative")
-    if not dec.pairs:
-        return int(r == 0)
-    counts = {
-        pair: dyck_counts(DyckConstraint(dec.m, *pair, r)) for pair in set(dec.pairs)
-    }
-    vec, *rest = (counts[pair] for pair in dec.pairs)
-    if not rest:
-        return vec[r]
-    for c in rest[:-1]:
-        vec = [sum(map(mul, vec[: n + 1], c[n::-1])) for n in range(r + 1)]
-    return sum(map(mul, vec, reversed(rest[-1])))
+    counts = {p: dyck_counts(DyckConstraint(dec.m, *p, r)) for p in set(dec.pairs)}
+    return product_coeff([counts[p] for p in dec.pairs], r)
 
 
 @dataclass(frozen=True)
@@ -255,12 +240,13 @@ def family_quotient(fq: FamilyQuery) -> FamilyModel:
 
 
 def family_multiplicity(fq: FamilyQuery) -> int:
-    """Multiplicity at coefficient index N by the direct formula.
+    """Multiplicity at coefficient index N: coefficient N of the family's
+    reduced quotient, read from expand.
 
     q < 0 returns 0 outright.  Whenever the unsigned model applies the
-    value is recomputed as a tuple count and the two must agree; kind b
-    with q = 0 and 2N > s is the documented exception where the value
-    stands without an unsigned model.
+    value is recounted through the Dyck product model and the two must
+    agree; kind b with q = 0 and 2N > s is the documented exception where
+    the value stands without an unsigned model.
     """
     if fq.N is None:
         raise ValueError("family queries need the coefficient index N")

@@ -12,12 +12,11 @@ Negative k means surplus cancellation and the quotient is a polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .chebpoly import Partition, p_coeff_closed, p_poly
-from .pathcomb import full_height_count
-from .series import (ONE, IntPolynomial, TruncatedSeries, poly_mul, poly_prod,
+from .pathcomb import strip_walk_counts
+from .series import (IntPolynomial, TruncatedSeries, poly_prod, product_coeff,
                      series_div_unit)
 
 __all__ = [
@@ -155,35 +154,25 @@ def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
     return CoefficientReport(spec, series)
 
 
-@lru_cache(maxsize=None)
-def _b_convolved(m: int, slots: int, total: int) -> int:
-    # sum over u_1 + ... + u_slots = total of prod B_m(u_nu)
-    if slots == 0:
-        return 1 if total == 0 else 0
-    return sum(
-        full_height_count(m, u) * _b_convolved(m, slots - 1, total - u)
-        for u in range(total + 1)
-    )
-
-
 def signed_coefficient(spec: QuotientSpec, r: int) -> int:
     """a_r by the signed tuple count: sum over j_0..j_L, u_1..u_k with
     sum r of (-1)^(sum j) * prod C(alpha_i - j_i, j_i) * prod B_m(u_nu),
-    the B product read as 1 when k = 0.  The j-part is the product of the
-    closed-form vectors of the p_alpha through x^r, convolved once with
-    the B-part; neither the recurrence for p_r nor a division is used, so
-    the route stays independent of expand.  Only defined for k >= 0.
+    the B product read as 1 when k = 0: [x^r] of the product of the
+    closed-form vectors of the p_alpha and k copies of B_m(0..r), read
+    from one transfer-matrix pass.  Neither the recurrence for p_r nor a
+    division is used, so the route stays independent of expand.  Only
+    defined for k >= 0.
     """
     if spec.k < 0:
         raise ValueError("signed formula requires k >= 0; expand instead")
     if r < 0:
         raise ValueError("coefficient index must be nonnegative")
-    num = ONE
-    for a in spec.alphas:
-        closed = IntPolynomial(p_coeff_closed(a, j) for j in range(min(a // 2, r) + 1))
-        num = poly_mul(num, closed)
     m, k = spec.m, spec.k
-    return sum(c * _b_convolved(m, k, r - j) for j, c in enumerate(num.coeffs[: r + 1]))
+    vectors = [[p_coeff_closed(a, j) for j in range(min(a // 2, r) + 1)]
+               for a in spec.alphas]
+    if k:
+        vectors += [strip_walk_counts(m, 0, m - 1, m - 1 + 2 * r)[m - 1 :: 2]] * k
+    return product_coeff(vectors, r)
 
 
 def _degree_bound(spec: QuotientSpec) -> int:
@@ -276,10 +265,6 @@ def multiplicities(xi: Partition, m: int, ns: Iterable[int]) -> list[int]:
     factors = [p_poly(a) for a in base.alphas[1:]]  # the parts below m
     for k, cs in zip(ks, _over_pm(factors, m, wants)):
         for slot, idx, a0 in rows[k]:
-            # [x^idx] p_a0 * G_k; cs may stop short of idx when G_k is a
-            # polynomial of lower degree
-            pa = p_poly(a0).coeffs
-            lo = max(0, idx + 1 - len(cs))
-            hi = min(len(pa), idx + 1)
-            out[slot] = sum(pa[j] * cs[idx - j] for j in range(lo, hi))
+            # cs may stop short of idx when G_k is a polynomial
+            out[slot] = product_coeff([p_poly(a0).coeffs, cs], idx)
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(init=False, eq=True, frozen=True)
@@ -132,6 +132,35 @@ def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return IntPolynomial(out)
+
+
+def product_coeff(vectors: Iterable[Sequence[int]], r: int) -> int:
+    """[x^r] of the product of the coefficient vectors, each read as zero
+    past its end; the empty product is 1.
+
+    Schoolbook: the product of all vectors but the last is carried
+    through x^r, and the last meets it in one dot product.
+
+    >>> product_coeff([(1, 1)] * 4, 2)  # C(4, 2)
+    6
+    >>> product_coeff([(1, 2), (3,)], 1), product_coeff([(1, 2)], 5)
+    (6, 0)
+    >>> product_coeff([], 0), product_coeff([], 1)
+    (1, 0)
+    """
+    if r < 0:
+        raise ValueError("coefficient index must be nonnegative")
+    *head, last = list(vectors) or [(1,)]
+    acc = head[0][: r + 1] if head else (1,)
+    for v in head[1:]:
+        # a is the shorter vector: entry n pairs a[n], ..., a[0] with the head
+        # of b while n < len(a), then a reversed with b's window ending at n
+        a, b = (acc, v) if len(acc) <= len(v) else (v, acc)
+        la, ra, length = len(a), a[::-1], min(r + 1, len(a) + len(b) - 1)
+        acc = [sum(map(mul, a[n::-1], b)) for n in range(min(la, length))]
+        acc += [sum(map(mul, ra, b[n - la + 1 : n + 1])) for n in range(la, length)]
+    # acc stops by x^r, so its reverse meets last's window ending at r
+    return sum(map(mul, acc[::-1], last[r + 1 - len(acc) : r + 1]))
 
 
 def poly_scale(p: IntPolynomial, c: int) -> IntPolynomial:

@@ -28,7 +28,7 @@ from .families import (
 )
 from .pathcomb import (
     DyckConstraint,
-    dyck_count,
+    dyck_counts,
     enumerate_dyck,
     enumerate_matchings,
     enumerate_strip_walks,
@@ -38,6 +38,7 @@ from .pathcomb import (
     matching_count,
     strip_walk_count,
     strip_walk_count_dfs,
+    strip_walk_counts,
     walk_to_dyck,
 )
 from .quotient import expand, make_spec, multiplicity, signed_coefficient
@@ -106,17 +107,17 @@ def walk_counts(
     length <= 14 are also enumerated one by one."""
     t = _Tally("walk_counts")
     cells = [
-        (m, a, b, L)
+        (m, a, b, L, tm)
         for m in range(1, max_m + 1)
         for a in range(m)
         for b in range(m)
-        for L in range(max_len + 1)
+        for L, tm in enumerate(strip_walk_counts(m, a, b, max_len))
     ]
     for _ in range(extras):
         m = rng.randint(2, 6)
-        cells.append((m, rng.randrange(m), rng.randrange(m), rng.randint(0, 14)))
-    for m, a, b, L in cells:
-        tm = strip_walk_count(m, a, b, L)
+        a, b, L = rng.randrange(m), rng.randrange(m), rng.randint(0, 14)
+        cells.append((m, a, b, L, strip_walk_count(m, a, b, L)))
+    for m, a, b, L, tm in cells:
         dfs = strip_walk_count_dfs(m, a, b, L)
         t.check(tm == dfs, f"m={m} a={a} b={b} L={L}: transfer {tm}, dfs {dfs}")
         if L <= 14:
@@ -136,9 +137,8 @@ def walk_quotient() -> SuiteResult:
                 series = series_div_unit(
                     poly_mul(p_poly(a), p_poly(m - 1 - b)), pm, 10
                 )
-                for r in range(11):
-                    got = series.coeffs[r]
-                    want = strip_walk_count(m, a, b, b - a + 2 * r)
+                walks = strip_walk_counts(m, a, b, b - a + 20)[b - a :: 2]
+                for r, (got, want) in enumerate(zip(series.coeffs, walks)):
                     t.check(
                         got == want,
                         f"m={m} a={a} b={b} r={r}: series {got}, walks {want}",
@@ -156,16 +156,15 @@ def bijection(max_u: int = 3) -> SuiteResult:
     for m in range(1, 6):
         for a in range(m):
             for b in range(m - a):
-                for u in range(max_u + 1):
+                for u, count in enumerate(dyck_counts(DyckConstraint(m, a, b, max_u))):
                     c = DyckConstraint(m, a, b, u)
                     walks = enumerate_strip_walks(
                         m, a, m - 1 - b, m - 1 - a - b + 2 * u
                     )
                     paths = enumerate_dyck(c)
                     t.check(
-                        len(walks) == len(paths) == dyck_count(c),
-                        f"{c}: {len(walks)} walks, {len(paths)} paths, "
-                        f"count {dyck_count(c)}",
+                        len(walks) == len(paths) == count,
+                        f"{c}: {len(walks)} walks, {len(paths)} paths, count {count}",
                     )
                     images = {walk_to_dyck(w, c) for w in walks}
                     t.check(

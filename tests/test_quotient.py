@@ -105,10 +105,10 @@ class TestExpand:
 
 
 @st.composite
-def specs_with_k(draw):
-    """Specs with m in 2..64 and net pole order k in -2..9."""
-    m = draw(st.integers(2, 64))
-    k = draw(st.integers(-2, 9))
+def specs_with_k(draw, max_m=64, min_k=-2, max_k=9):
+    """Specs with m in 2..max_m and net pole order k in min_k..max_k."""
+    m = draw(st.integers(2, max_m))
+    k = draw(st.integers(min_k, max_k))
     t = max(0, 1 - k) + draw(st.integers(0, 2))
     rest = draw(st.lists(st.integers(1, m - 1), max_size=3))
     mu = (k - 1 + t) * m + draw(st.integers(0, m - 1))
@@ -191,8 +191,20 @@ class TestSignedCoefficient:
 
         monkeypatch.setattr("chebflag.quotient.poly_prod", refuse)
         monkeypatch.setattr("chebflag.quotient.series_div_unit", refuse)
+        monkeypatch.setattr("chebflag.quotient.p_poly", refuse)
         for sp, cs in zip(specs, want):
             assert [signed_coefficient(sp, r) for r in range(13)] == list(cs)
+
+    @given(specs_with_k(max_m=8, min_k=0, max_k=3), st.integers(0, 300))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_expand_at_benchmark_sizes(self, sp, r):
+        assert signed_coefficient(sp, r) == expand(sp, r).coeffs.coeffs[r]
+
+    def test_deep_index(self):
+        # a pole of order 2 at r = 1500: one walk-count pass, no recursion
+        sp = spec_of([1], 2, 2)
+        assert sp.k == 2
+        assert signed_coefficient(sp, 1500) == expand(sp, 1500).coeffs.coeffs[1500]
 
 
 class TestClassify:

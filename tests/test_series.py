@@ -11,6 +11,7 @@ from chebflag.series import (
     poly_mul,
     poly_pow,
     poly_prod,
+    product_coeff,
     series_div_unit,
 )
 
@@ -210,3 +211,26 @@ class TestPolyProd:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             poly_prod([P(1, -1)], -1)
+
+
+class TestProductCoeff:
+    """product_coeff against the full product of a poly_mul chain."""
+
+    @given(
+        st.lists(st.lists(st.integers(-(2**70), 2**70), max_size=9), max_size=5),
+        st.integers(0, 20),
+    )
+    def test_matches_schoolbook(self, vectors, r):
+        # vectors of degree <= 8 and r up to 20: r often runs past the end
+        # of some vectors, or of the whole product
+        want = _schoolbook_prod([IntPolynomial(v) for v in vectors], None)[r]
+        assert product_coeff(vectors, r) == want
+
+    def test_short_vectors_read_as_zero(self):
+        assert product_coeff([[1, 1], [1] * 30, [2]], 5) == 4
+        assert product_coeff([[1] * 30, [1, 1]], 29) == 2
+        assert product_coeff([[], [1]], 0) == 0
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            product_coeff([[1]], -1)
