@@ -12,12 +12,9 @@ from .series import (
 )
 from .chebpoly import (
     Partition,
-    RootData,
-    p_at_rho1,
     p_coeff_closed,
-    p_partition,
     p_poly,
-    roots_of_pm,
+    root_brackets,
 )
 from .pathcomb import (
     DyckConstraint,

@@ -1,31 +1,21 @@
-"""The Chebyshev-type sequence p_r and its numeric root data.
+"""The Chebyshev-type sequence p_r and exact brackets of its roots.
 
 p_0 = p_1 = 1 and p_{r+1} = p_r - x * p_{r-1}, so deg p_r = floor(r/2)
 and every constant term is 1.  Coefficients double as matching counts of
 path graphs: [x^j] p_r = (-1)^j * C(r-j, j).
 
-Roots of p_m come from the closed trigonometric form and are used for
-diagnostics only; exact coefficient arithmetic never touches them.
+Roots of p_m come as dyadic brackets from an integer Sturm count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
-from .series import IntPolynomial, ONE, X, poly_mul
+from .series import IntPolynomial, ONE, X
 
-__all__ = [
-    "Partition",
-    "RootData",
-    "p_poly",
-    "p_coeff_closed",
-    "p_partition",
-    "roots_of_pm",
-    "p_at_rho1",
-]
+__all__ = ["Partition", "p_poly", "p_coeff_closed", "root_brackets"]
 
 
 @dataclass(init=False, eq=True, frozen=True)
@@ -90,80 +80,46 @@ def p_coeff_closed(r: int, j: int) -> int:
     return (-1) ** j * math.comb(r - j, j)
 
 
-def p_partition(xi: Partition) -> IntPolynomial:
-    """Product of p over the parts; the empty partition gives 1."""
-    acc = ONE
-    for part in xi:
-        acc = poly_mul(acc, p_poly(part))
-    return acc
+def _roots_below(m: int, n: int, bits: int) -> int:
+    """Number of roots of p_m in (0, n / 2^bits): the sign changes, zeros
+    skipped, of the Sturm chain p_0(x), ..., p_m(x) (p_r(x) is
+    x^(r/2) U_r(1/(2 sqrt x)) for x > 0), each p_r(x) scaled to the integer
+    P_r = 2^(bits*floor(r/2)) p_r(x) of the same sign."""
+    a = b = 1  # P_{r-1} and P_r for odd r, from r = 1
+    neg, changes = False, 0
+    for r in range(1, m, 2):
+        a = (b << bits) - n * a  # P_{r+1}
+        if a and (a < 0) is not neg:
+            neg, changes = not neg, changes + 1
+        if r + 1 == m:
+            break
+        b = a - n * b  # P_{r+2}
+        if b and (b < 0) is not neg:
+            neg, changes = not neg, changes + 1
+    return changes
 
 
-@dataclass(frozen=True)
-class RootData:
-    """Roots of p_m, increasing, with the angle step theta = pi/(m+1)."""
+def root_brackets(m: int, bits: int) -> list[int]:
+    """The floor(m/2) roots of p_m, increasing, each as the integer n with
+    n / 2^bits <= root < (n + 1) / 2^bits; a bracket holding two roots is
+    listed twice.  Every root lies in (1/4, (m+1)^2/4], so bisecting
+    [0, (m+1)^2 2^bits) into the halves that hold a root finds them all.
 
-    m: int
-    roots: tuple[float, ...]
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("root data needs m >= 2")
-        if len(self.roots) != self.m // 2:
-            raise ValueError(
-                f"expected {self.m // 2} roots for m={self.m}, got {len(self.roots)}"
-            )
-        # imported here: fractions pulls in decimal, and only the float
-        # diagnostics, never a CLI command, build root data
-        from fractions import Fraction
-
-        # p_m changes sign across each bracket rho(1 -+ 2^-40), evaluated
-        # exactly, and the brackets are disjoint: p_m has floor(m/2)
-        # roots, one in each
-        pm, w = p_poly(self.m), Fraction(1, 2**40)
-        prev = Fraction(0)
-        for rho in self.roots:
-            lo, hi = Fraction(rho) * (1 - w), Fraction(rho) * (1 + w)
-            if not prev < lo:
-                raise ValueError("roots must be positive and strictly increasing")
-            if not pm(lo) * pm(hi) < 0:
-                raise ValueError(f"no sign change of p_{self.m} around rho={rho!r}")
-            prev = hi
-
-    @property
-    def rho1(self) -> float:
-        return self.roots[0]
-
-
-@lru_cache(maxsize=None)
-def roots_of_pm(m: int) -> RootData:
-    """All floor(m/2) roots 1/(4 cos^2(j pi/(m+1))), j = 1..floor(m/2).
-
-    >>> abs(roots_of_pm(2).roots[0] - 1.0) < 1e-12
-    True
-    >>> abs(roots_of_pm(3).roots[0] - 0.5) < 1e-12
-    True
+    >>> root_brackets(2, 3), root_brackets(3, 3), root_brackets(5, 2)
+    ([8], [4], [1, 4])
     """
-    if m < 2:
-        raise ValueError("p_0 and p_1 are constant; roots need m >= 2")
-    theta = math.pi / (m + 1)
-    roots = tuple(1.0 / (4.0 * math.cos(j * theta) ** 2) for j in range(1, m // 2 + 1))
-    return RootData(m, roots, theta)
-
-
-def p_at_rho1(r: int, m: int) -> float:
-    """p_r evaluated at the smallest root of p_m; positive for 0 <= r < m.
-
-    With theta = pi/(m+1) the root is 1/(4 cos^2 theta), where p_r takes
-    the value sin((r+1) theta) / (sin theta (2 cos theta)^r).  Every
-    factor is positive for r < m, so the float is too, where Horner on
-    the alternating coefficients of p_r cancels to <= 0 once m >= 46.
-    """
-    if not 0 <= r < m:
-        raise ValueError(f"need 0 <= r < m, got r={r}, m={m}")
-    if m < 2:
-        raise ValueError("p_0 and p_1 are constant; roots need m >= 2")
-    if r <= 1:
-        return 1.0  # p_0 = p_1 = 1, exactly
-    theta = math.pi / (m + 1)
-    return math.sin((r + 1) * theta) / (math.sin(theta) * (2 * math.cos(theta)) ** r)
+    if m < 0 or bits < 0:
+        raise ValueError(f"need m >= 0 and bits >= 0, got m={m}, bits={bits}")
+    out: list[int] = []
+    top = (m + 1) ** 2 << bits
+    # (lo, hi, roots below lo, roots below hi); the left half pops first
+    stack = [(0, top, 0, _roots_below(m, top, bits))]
+    while stack:
+        lo, hi, below_lo, below_hi = stack.pop()
+        if below_lo < below_hi and hi - lo == 1:
+            out += [lo] * (below_hi - below_lo)
+        elif below_lo < below_hi:
+            mid = (lo + hi) // 2
+            below_mid = _roots_below(m, mid, bits)
+            stack += [(mid, hi, below_mid, below_hi), (lo, mid, below_lo, below_mid)]
+    return out

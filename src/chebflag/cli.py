@@ -252,6 +252,8 @@ def cmd_mult(ns: argparse.Namespace) -> int:
 
 
 def cmd_classify(ns: argparse.Namespace) -> int:
+    if ns.horizon is not None and ns.horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     sp = make_spec(Partition(ns.xi), ns.m, ns.mu)
     pc = classify(sp)
     horizon = ns.horizon if ns.horizon is not None else default_order(sp)

@@ -8,9 +8,10 @@ import math
 import random
 import sys
 import time
+from functools import reduce
 
 from chebflag import verify
-from chebflag.chebpoly import Partition, p_partition, p_poly, roots_of_pm
+from chebflag.chebpoly import Partition, p_poly, root_brackets
 from chebflag.families import FamilyQuery, family_multiplicity
 from chebflag.pathcomb import (
     DyckConstraint,
@@ -26,7 +27,12 @@ from chebflag.quotient import (
     multiplicity,
     positivity_threshold,
 )
-from chebflag.series import IntPolynomial, poly_mul, poly_pow, series_div_unit
+from chebflag.series import ONE, IntPolynomial, poly_mul, poly_pow, series_div_unit
+
+
+def p_partition(xi: Partition) -> IntPolynomial:
+    """Schoolbook product of p over the parts; the empty partition gives 1."""
+    return reduce(poly_mul, map(p_poly, xi), ONE)
 
 
 def _report(num: int, name: str, budget: float, body) -> None:
@@ -181,7 +187,7 @@ def _c7_pole_ratio() -> int:
         sp = make_spec(Partition(parts), m, mu)
         assert classify(sp).kind == "eventually_positive", (parts, m, mu)
         cs = expand(sp, 121).coeffs.coeffs
-        rho1 = roots_of_pm(m).rho1
+        rho1 = root_brackets(m, 60)[0] / 2**60
         errs = [abs(cs[r + 1] / cs[r] - 1.0 / rho1) for r in range(80, 121)]
         avg = sum(errs) / len(errs)
         if sp.k == 1:

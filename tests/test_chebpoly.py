@@ -1,18 +1,17 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chebflag.chebpoly import (
-    Partition,
-    RootData,
-    p_at_rho1,
-    p_coeff_closed,
-    p_partition,
-    p_poly,
-    roots_of_pm,
-)
+from chebflag.chebpoly import Partition, p_coeff_closed, p_poly, root_brackets
+from chebflag.series import ONE, poly_mul
+
+
+def p_partition(xi):
+    """Schoolbook product of p over the parts; the empty partition gives 1."""
+    return reduce(poly_mul, map(p_poly, xi), ONE)
 
 
 class TestPartition:
@@ -93,93 +92,82 @@ class TestPPartition:
         assert p_partition(Partition([2, 2])).coeffs == (1, -2, 1)
 
 
+def _holds_root(pm, n, bits):
+    """p_m has a root in [n, n + 1) / 2^bits, by exact Horner at both ends."""
+    lo, hi = pm(Fraction(n, 2**bits)), pm(Fraction(n + 1, 2**bits))
+    return hi != 0 and (lo == 0 or (lo < 0) != (hi < 0))
+
+
 class TestRoots:
     def test_m2(self):
-        rd = roots_of_pm(2)
-        assert len(rd.roots) == 1
-        assert abs(rd.roots[0] - 1.0) < 1e-12
+        for bits in range(9):
+            assert root_brackets(2, bits) == [2**bits]  # the root 1
 
     def test_m3(self):
-        assert abs(roots_of_pm(3).roots[0] - 0.5) < 1e-12
+        for bits in range(1, 9):
+            assert root_brackets(3, bits) == [2 ** (bits - 1)]  # the root 1/2
+        assert root_brackets(3, 0) == [0]
 
     def test_m4_increasing_positive(self):
-        rd = roots_of_pm(4)
-        assert len(rd.roots) == 2
-        assert 0 < rd.roots[0] < rd.roots[1]
+        lo, hi = root_brackets(4, 20)
+        assert 0 < lo < hi
 
-    def test_rejects_small_m(self):
+    def test_constant_pm_has_no_roots(self):
+        assert root_brackets(0, 10) == []
+        assert root_brackets(1, 10) == []
+
+    def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            roots_of_pm(1)
+            root_brackets(-1, 10)
         with pytest.raises(ValueError):
-            roots_of_pm(0)
+            root_brackets(4, -1)
 
-    def test_theta(self):
-        assert roots_of_pm(5).theta == pytest.approx(math.pi / 6)
+    def test_count_order_through_300(self):
+        for m in range(2, 301):
+            ns = root_brackets(m, 2)
+            assert len(ns) == m // 2, m
+            assert ns == sorted(ns), m
+            assert ns[0] >= 1, m  # rho1 >= 1/4
 
-    def test_count_structure_residuals_through_12(self):
-        for m in range(2, 13):
-            rd = roots_of_pm(m)
-            assert len(rd.roots) == m // 2
-            assert all(r > 0 for r in rd.roots)
-            assert all(a < b for a, b in zip(rd.roots, rd.roots[1:]))
+    def test_matches_trig_closed_form(self):
+        for m in range(2, 41):
+            ns = root_brackets(m, 50)
+            assert len(set(ns)) == len(ns) == m // 2, m
+            for j, n in enumerate(ns, start=1):
+                rho = 1 / (4 * math.cos(j * math.pi / (m + 1)) ** 2)
+                assert abs(n / 2**50 - rho) <= 1e-12 * rho, (m, j)
+
+    def test_sign_change_across_each_bracket(self):
+        for m in range(2, 41):
             pm = p_poly(m)
-            for j, rho in enumerate(rd.roots, start=1):
-                if (m, j) == (12, 6):
-                    # the one root where 1e-9 is unattainable in doubles:
-                    # |p'(rho)| ~ 1.2e6 and ulp(rho) ~ 3.6e-15 put the
-                    # floor for any stored double near 2e-9; hold it to
-                    # the exact bracket instead
-                    w = Fraction(1, 2**40)
-                    assert pm(Fraction(rho) * (1 - w)) * pm(Fraction(rho) * (1 + w)) < 0
-                else:
-                    assert abs(pm(rho)) < 1e-9, (m, j, pm(rho))
+            for n in root_brackets(m, 50):
+                assert _holds_root(pm, n, 50), (m, n)
 
     def test_builds_where_float_residuals_fail(self):
-        # at these larger m the float residual of some root exceeds any
-        # fixed tolerance; the exact brackets still prove every root
-        past = [54, 88, 94, 100, 106, 108, 110, 114, 118, 122, 126, 128]
-        for m in list(range(2, 21)) + past:
-            rd = roots_of_pm(m)
-            assert len(rd.roots) == m // 2
-            assert rd.rho1 > 1 / 4, m  # 1/(4 cos^2(pi/(m+1)))
-
-    def test_rootdata_validates(self):
-        with pytest.raises(ValueError):
-            RootData(2, (1.0, 2.0), math.pi / 3)  # wrong count
-        with pytest.raises(ValueError):
-            RootData(4, (2.618033988749895, 0.38196601125010515), math.pi / 5)
-        with pytest.raises(ValueError):
-            RootData(2, (0.9,), math.pi / 3)  # not a root
+        # a float root's residual exceeds any fixed tolerance at these m;
+        # the brackets are exact there as everywhere
+        for m in [54, 88, 94, 100, 106, 108, 110, 114, 118, 122, 126, 128]:
+            ns = root_brackets(m, 40)
+            assert len(ns) == m // 2, m
+            assert all(a < b for a, b in zip(ns, ns[1:])), m
+            assert ns[0] >= 2**38, m  # rho1 >= 1/4
 
 
 class TestPAtRho1:
+    """p_a(rho1(m)) > 0 for every a < m, proved by exact brackets."""
+
     def test_constant(self):
-        assert p_at_rho1(0, 2) == 1.0
-        assert p_at_rho1(1, 5) == 1.0
+        assert p_poly(0).coeffs == p_poly(1).coeffs == (1,)
 
     def test_value(self):
-        assert p_at_rho1(2, 3) == pytest.approx(0.5)
+        # rho1(3) = 1/2 exactly, where p_2 = 1 - x is 1/2
+        assert root_brackets(3, 30) == [2**29]
+        assert p_poly(3)(Fraction(1, 2)) == 0
+        assert p_poly(2)(Fraction(1, 2)) == Fraction(1, 2)
 
-    def test_rejects_r_at_least_m(self):
-        with pytest.raises(ValueError):
-            p_at_rho1(3, 3)
-        with pytest.raises(ValueError):
-            p_at_rho1(-1, 3)
-
-    def test_positive_through_128(self):
-        # Horner on the coefficients of p_r cancels to <= 0 first at
-        # (r, m) = (45, 46); the closed form stays positive
-        for m in range(2, 129):
-            for r in range(m):
-                assert p_at_rho1(r, m) > 0, (r, m)
-
-    def test_matches_horner_through_12(self):
-        # where Horner does not cancel, the closed form is p_r at rho1
-        for m in range(2, 13):
-            rho1 = roots_of_pm(m).rho1
-            for r in range(m):
-                assert abs(p_at_rho1(r, m) - p_poly(r)(rho1)) < 1e-15, (r, m)
-
-    def test_rejects_constant_pm(self):
-        with pytest.raises(ValueError):
-            p_at_rho1(0, 1)
+    def test_positive_through_80(self):
+        # p_a > 0 on [0, rho1(a)) and p_a(0) = 1; a strictly falling
+        # bracket puts rho1(a+1) below rho1(a), so rho1(m) < rho1(a) for
+        # every 2 <= a < m <= 80
+        n1 = [root_brackets(a, 24)[0] for a in range(2, 81)]
+        assert all(a > b for a, b in zip(n1, n1[1:]))

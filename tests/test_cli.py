@@ -238,6 +238,22 @@ class TestClassify:
         assert obj["threshold"] == 2
         assert "not a proof" in obj["note"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ["--xi", "2,2", "--m", "2", "--mu", "0"],  # polynomial
+            ["--xi", "1,1", "--m", "1", "--mu", "2"],  # constant_one
+            ["--xi", "1", "--m", "2", "--mu", "1"],  # eventually_positive
+        ],
+    )
+    def test_negative_horizon_refused(self, capsys, spec):
+        code, out, err = run_main(
+            capsys, ["classify", *spec, "--horizon", "-5", "--format", "json"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: horizon must be nonnegative\n"
+
 
 class TestVerify:
     def test_pass_and_deterministic(self, capsys):

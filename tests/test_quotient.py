@@ -1,10 +1,11 @@
 import itertools
 import json
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebflag.chebpoly import Partition, p_partition, p_poly
+from chebflag.chebpoly import Partition, p_poly
 from chebflag.quotient import (
     PositivityClass,
     QuotientSpec,
@@ -17,8 +18,20 @@ from chebflag.quotient import (
     positivity_threshold,
     signed_coefficient,
 )
-from chebflag.series import IntPolynomial, coeff, poly_mul, poly_pow, series_div_unit
+from chebflag.series import (
+    ONE,
+    IntPolynomial,
+    coeff,
+    poly_mul,
+    poly_pow,
+    series_div_unit,
+)
 from chebflag.verify import default_golden_path
+
+
+def p_partition(xi):
+    """Schoolbook product of p over the parts; the empty partition gives 1."""
+    return reduce(poly_mul, map(p_poly, xi), ONE)
 
 
 def spec_of(parts, m, mu):
