@@ -4,7 +4,6 @@ eventual-positivity classification, and combinatorial cross-checks."""
 from .series import (
     IntPolynomial,
     TruncatedSeries,
-    coeff,
     poly_add,
     poly_mul,
     poly_prod,

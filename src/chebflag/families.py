@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chebpoly import Partition, p_poly
+from .chebpoly import Partition
 from .pathcomb import DyckConstraint, dyck_counts
 from .quotient import QuotientSpec, expand, make_spec
-from .series import IntPolynomial, coeff, poly_mul, product_coeff
+from .series import product_coeff
 
 __all__ = [
     "PairDecomposition",
@@ -53,22 +53,17 @@ class PairDecomposition:
     def k(self) -> int:
         return len(self.pairs)
 
-    def product(self) -> IntPolynomial:
-        acc = IntPolynomial((1,))
-        for a, b in self.pairs:
-            acc = poly_mul(acc, poly_mul(p_poly(a), p_poly(b)))
-        return acc
-
 
 def find_pair_decomposition(spec: QuotientSpec) -> PairDecomposition | None:
     """Search for a decomposition of the numerator indices into exactly
     spec.k admissible pairs.
 
-    Works at the presentation level: indices >= 2 are grouped into pairs
-    or left single, slots are padded with 0s (p_0 = p_1 = 1), and any
-    candidate is confirmed by exact polynomial-product equality.  None
-    means no grouping of the given index multiset fits; it does not rule
-    out decompositions through nontrivial polynomial identities.
+    Works at the presentation level: pack uses up exactly the indices
+    >= 2, each single or paired, and the remaining slots are padded with
+    (0, 0).  Since p_0 = p_1 = 1, the pairs multiply to the numerator by
+    construction.  None means no grouping of the given index multiset
+    fits; it does not rule out decompositions through nontrivial
+    polynomial identities.
     """
     if spec.k <= 0:
         raise ValueError("pair decompositions need k >= 1")
@@ -103,11 +98,7 @@ def find_pair_decomposition(spec: QuotientSpec) -> PairDecomposition | None:
     grouped = pack(tuple(big), k)
     if grouped is None:
         return None
-    pairs = grouped + ((0, 0),) * (k - len(grouped))
-    dec = PairDecomposition(spec.m, pairs)
-    if dec.product() != spec.numerator():
-        return None
-    return dec
+    return PairDecomposition(spec.m, grouped + ((0, 0),) * (k - len(grouped)))
 
 
 def product_model_coeff(dec: PairDecomposition, r: int) -> int:
@@ -191,52 +182,38 @@ class FamilyModel:
     canonical pair list when the family's applicability condition holds,
     and a note when it does not."""
 
-    query: FamilyQuery
     spec: QuotientSpec
     decomposition: PairDecomposition | None
     note: str = ""
 
 
 def family_quotient(fq: FamilyQuery) -> FamilyModel:
-    """The reduced quotient prod p_middle * p_{m-rho-1} / p_m^(q+1) with
-    the canonical pairs ((0, m-rho-1), (r_i, 0)..., (0,0)...) when the
-    kind's condition holds: a needs q >= 0, b needs q >= 1 or the single
-    admissible pair at q = 0, c needs q >= d."""
+    """The reduced quotient prod p_middle * p_{m-rho-1} / p_m^k, k = q+1
+    for m >= 2, with the canonical pairs ((0, m-rho-1), (r_i, 0)...,
+    (0,0)...) whenever q >= d, the number of middle parts.  Below that,
+    kind b at q = 0 has the single pair (r, m-rho-1) when it is
+    admissible, and kind c has none.  At m = 1 kind a needs k >= 1."""
     q, rho = fq.q_rho
     if q < 0:
         raise ValueError("q < 0: the quotient degenerates; the multiplicity is 0")
     xi = fq.partition()
-    mu = xi.size - 2 * fq.N if fq.N is not None else xi.size
-    spec = make_spec(xi, fq.m, mu)
-    m = fq.m
-    d = len(fq.middles)
-    dec: PairDecomposition | None = None
-    note = ""
-    if fq.kind == "a":
-        dec = PairDecomposition(m, ((0, m - rho - 1),) + ((0, 0),) * q)
-    elif fq.kind == "b":
-        if q >= 1:
-            dec = PairDecomposition(
-                m, ((0, m - rho - 1), (fq.r, 0)) + ((0, 0),) * (q - 1)
-            )
-        elif rho >= fq.r:
-            # q = 0: the single pair (r, m-rho-1) fits since r + (m-rho-1) <= m-1
-            dec = PairDecomposition(m, ((fq.r, m - rho - 1),))
-        else:
-            note = "no unsigned model: q = 0 and the single pair is inadmissible"
-    else:
-        if q >= d:
-            dec = PairDecomposition(
-                m,
-                ((0, m - rho - 1),)
-                + tuple((ri, 0) for ri in fq.middles)
-                + ((0, 0),) * (q - d),
-            )
-        else:
-            note = f"no unsigned model: q = {q} < d = {d}"
-    if dec is not None and dec.product() != spec.numerator():
-        raise VerificationError("family pairs fail to reproduce the numerator")
-    return FamilyModel(fq, spec, dec, note)
+    spec = make_spec(xi, fq.m, xi.size - 2 * (fq.N or 0))
+    m, middles = fq.m, fq.middles
+    d = len(middles)
+    if spec.k < 1:
+        return FamilyModel(spec, None, f"no unsigned model: k = {spec.k} < 1")
+    if q >= d:
+        pairs = (((0, m - rho - 1),) + tuple((ri, 0) for ri in middles)
+                 + ((0, 0),) * (spec.k - 1 - d))
+        return FamilyModel(spec, PairDecomposition(m, pairs))
+    if fq.kind == "c":
+        return FamilyModel(spec, None, f"no unsigned model: q = {q} < d = {d}")
+    if rho >= fq.r:
+        # q = 0: the single pair (r, m-rho-1) fits since r + (m-rho-1) <= m-1
+        return FamilyModel(spec, PairDecomposition(m, ((fq.r, m - rho - 1),)))
+    return FamilyModel(
+        spec, None, "no unsigned model: q = 0 and the single pair is inadmissible"
+    )
 
 
 def family_multiplicity(fq: FamilyQuery) -> int:
@@ -245,16 +222,16 @@ def family_multiplicity(fq: FamilyQuery) -> int:
 
     q < 0 returns 0 outright.  Whenever the unsigned model applies the
     value is recounted through the Dyck product model and the two must
-    agree; kind b with q = 0 and 2N > s is the documented exception where
-    the value stands without an unsigned model.
+    agree.  Kind b with q = 0 and 2N > s, and kind a at m = 1 with N >= 1
+    (k < 1), are the documented exceptions where the value stands without
+    an unsigned model.
     """
     if fq.N is None:
         raise ValueError("family queries need the coefficient index N")
-    q, rho = fq.q_rho
-    if q < 0:
+    if fq.q_rho[0] < 0:
         return 0
     model = family_quotient(fq)
-    value = coeff(expand(model.spec, fq.N).coeffs, fq.N)
+    value = expand(model.spec, fq.N).coeffs.coeffs[fq.N]
     if model.decomposition is not None:
         recount = product_model_coeff(model.decomposition, fq.N)
         if recount != value:

@@ -74,10 +74,6 @@ class QuotientSpec:
         # parts are nonincreasing and at most m: the t parts equal to m lead
         return (self.m - self.mu0 - 1,) + self.xi.parts[self.t :]
 
-    def numerator(self, order: int | None = None) -> IntPolynomial:
-        """prod p_alpha, truncated after x^order when order is given."""
-        return poly_prod([p_poly(a) for a in self.alphas], order)
-
 
 @dataclass(frozen=True)
 class PositivityClass:
@@ -150,7 +146,7 @@ def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
     if order < 0:
         raise ValueError("order must be nonnegative")
     cs = next(_over_pm([p_poly(a) for a in spec.alphas], spec.m, [(spec.k, order)]))
-    series = TruncatedSeries(cs + (0,) * (order + 1 - len(cs)), order)
+    series = TruncatedSeries(cs + (0,) * (order + 1 - len(cs)))
     return CoefficientReport(spec, series)
 
 

@@ -74,37 +74,19 @@ ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
 
-@dataclass(init=False, eq=True, frozen=True)
+@dataclass(frozen=True)
 class TruncatedSeries:
     """Formal power series known exactly up to x^order.
 
-    Stores order+1 integer coefficients; the tail beyond ``order`` is
-    unknown, not zero, so indexing past it is an error rather than 0.
+    Holds the order+1 integer coefficients a_0..a_order; the tail beyond
+    ``order`` is unknown, not zero.
     """
 
     coeffs: tuple[int, ...]
-    order: int
 
-    def __init__(self, coeffs: Iterable[int], order: int | None = None) -> None:
-        cs = tuple(int(c) for c in coeffs)
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(cs) != order + 1:
-            raise ValueError(
-                f"need exactly order+1 = {order + 1} coefficients, got {len(cs)}"
-            )
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", order)
-
-    @classmethod
-    def _of_ints(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
-        # coeffs are already ints, so skip the int() copy of __init__
-        s = object.__new__(cls)
-        object.__setattr__(s, "coeffs", coeffs)
-        object.__setattr__(s, "order", len(coeffs) - 1)
-        return s
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
 
 def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -264,21 +246,5 @@ def series_div_unit(
     out = [0] * d + list(head) + [0] * (order + 1 - len(head))
     for n in range(d, d + order + 1):
         out[n] -= sum(map(mul, rev, out[n - d : n]))
-    return TruncatedSeries._of_ints(tuple(out[d:]))
+    return TruncatedSeries(tuple(out[d:]))
 
-
-def coeff(s: TruncatedSeries, j: int) -> int:
-    """Coefficient of x^j; zero for j < 0, error beyond the truncation.
-
-    >>> coeff(TruncatedSeries([1, 2, 4]), -1)
-    0
-    >>> coeff(TruncatedSeries([1, 2, 4]), 2)
-    4
-    """
-    if j < 0:
-        return 0
-    if j > s.order:
-        raise ValueError(
-            f"coefficient {j} beyond truncation order {s.order}; re-expand"
-        )
-    return s.coeffs[j]

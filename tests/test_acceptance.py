@@ -8,8 +8,8 @@ import math
 import random
 import sys
 import time
-from functools import reduce
 
+from _reference import p_partition
 from chebflag import verify
 from chebflag.chebpoly import Partition, p_poly, root_brackets
 from chebflag.families import FamilyQuery, family_multiplicity
@@ -27,12 +27,7 @@ from chebflag.quotient import (
     multiplicity,
     positivity_threshold,
 )
-from chebflag.series import ONE, IntPolynomial, poly_mul, poly_pow, series_div_unit
-
-
-def p_partition(xi: Partition) -> IntPolynomial:
-    """Schoolbook product of p over the parts; the empty partition gives 1."""
-    return reduce(poly_mul, map(p_poly, xi), ONE)
+from chebflag.series import IntPolynomial, poly_mul, poly_pow, series_div_unit
 
 
 def _report(num: int, name: str, budget: float, body) -> None:

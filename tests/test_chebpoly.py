@@ -1,17 +1,11 @@
 import math
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
+from _reference import p_partition
 from chebflag.chebpoly import Partition, p_coeff_closed, p_poly, root_brackets
-from chebflag.series import ONE, poly_mul
-
-
-def p_partition(xi):
-    """Schoolbook product of p over the parts; the empty partition gives 1."""
-    return reduce(poly_mul, map(p_poly, xi), ONE)
 
 
 class TestPartition:
@@ -153,7 +147,7 @@ class TestRoots:
             assert ns[0] >= 2**38, m  # rho1 >= 1/4
 
 
-class TestPAtRho1:
+class TestPositiveAtRho1:
     """p_a(rho1(m)) > 0 for every a < m, proved by exact brackets."""
 
     def test_constant(self):

@@ -360,6 +360,35 @@ class TestFamilies:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("t, s", [("1", "-1"), ("-1", "-1"), ("-1", "1")])
+    def test_negative_counts_refused(self, capsys, t, s):
+        code, out, err = run_main(
+            capsys, ["families", "--kind", "c", "--m", "8", "--t", t, "--s", s,
+                     "--rs", "7,6,7", "--N", "6"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "t and s must be nonnegative" in err
+        assert "Traceback" not in err
+
+    def test_m1_pairs_match_k(self, capsys):
+        code, out, _ = run_main(
+            capsys, ["families", "--kind", "a", "--m", "1", "--t", "2",
+                     "--s", "3", "--N", "1", "--format", "json"]
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["k"] == -1 and obj["pairs"] is None
+        assert obj["note"] == "no unsigned model: k = -1 < 1"
+        assert obj["multiplicity"] == "0"
+        code, out, _ = run_main(
+            capsys, ["families", "--kind", "a", "--m", "1", "--t", "2",
+                     "--s", "3", "--format", "json"]
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["k"] == 1 and obj["pairs"] == [[0, 0]]
+
 
 class TestTable:
     def test_csv_header_and_rows(self, capsys):

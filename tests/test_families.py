@@ -1,11 +1,11 @@
+import itertools
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebflag.chebpoly import Partition
+from _reference import p_partition, pair_product, spec_of
 from chebflag.families import (
-    FamilyModel,
     FamilyQuery,
     PairDecomposition,
     family_multiplicity,
@@ -15,11 +15,7 @@ from chebflag.families import (
     product_model_coeff,
 )
 from chebflag.pathcomb import DyckConstraint, dyck_count
-from chebflag.quotient import expand, make_spec, multiplicity
-
-
-def spec_of(parts, m, mu):
-    return make_spec(Partition(parts), m, mu)
+from chebflag.quotient import expand, multiplicity
 
 
 def reference_product_model(dec, r):
@@ -58,7 +54,7 @@ class TestPairDecomposition:
     def test_product(self):
         dec = PairDecomposition(3, ((2, 0), (0, 0)))
         assert dec.k == 2
-        assert dec.product().coeffs == (1, -1)
+        assert pair_product(dec).coeffs == (1, -1)
 
     def test_find_trivial_pair(self):
         dec = find_pair_decomposition(spec_of([1], 2, 1))
@@ -85,8 +81,6 @@ class TestPairDecomposition:
         assert dec is not None and dec.pairs == ((0, 0), (0, 0))
 
     def test_product_always_matches_numerator(self):
-        import itertools
-
         for m in range(2, 6):
             for parts in itertools.combinations_with_replacement(
                 range(1, m + 1), 3
@@ -98,7 +92,7 @@ class TestPairDecomposition:
                     dec = find_pair_decomposition(sp)
                     if dec is not None:
                         assert dec.k == sp.k
-                        assert dec.product() == sp.numerator()
+                        assert pair_product(dec) == p_partition(sp.alphas)
 
 
 class TestProductModel:
@@ -254,6 +248,32 @@ class TestFamilyQuotient:
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):
             family_quotient(FamilyQuery("a", 2, 3, 1, N=2))
+
+    def test_pairs_multiply_to_numerator_on_grid(self):
+        queries = []
+        for m in range(1, 6):
+            middles = [("a", None, ())] + [("b", r, ()) for r in range(1, m)]
+            middles += [("c", None, rs) for d in (2, 3)
+                        for rs in itertools.combinations_with_replacement(
+                            range(1, m), d)]
+            for kind, r, rs in middles:
+                for t, s, N in itertools.product(
+                    range(2), range(2 * m + 1), [None, *range(m + 1)]
+                ):
+                    fq = FamilyQuery(kind, m, t, s, r=r, rs=rs, N=N)
+                    if fq.q_rho[0] >= 0:
+                        queries.append(fq)
+        listed = 0
+        for fq in queries:
+            model = family_quotient(fq)
+            dec = model.decomposition
+            if dec is None:
+                assert model.note, fq
+                continue
+            listed += 1
+            assert len(dec.pairs) == model.spec.k, fq
+            assert pair_product(dec) == p_partition(model.spec.alphas), fq
+        assert listed > 2000
 
     def test_spec_exponent_matches_q(self):
         for fq in [

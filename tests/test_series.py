@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 from chebflag.series import (
     IntPolynomial,
     ONE,
-    TruncatedSeries,
     ZERO,
-    coeff,
     poly_add,
     poly_mul,
     poly_pow,
@@ -99,26 +97,6 @@ class TestSeriesDivUnit:
         assert series_div_unit(once, P(1, -1), 2).coeffs == (1, 2, 3)
         with pytest.raises(ValueError):
             series_div_unit(once, P(1, -1), 5)
-
-
-class TestCoeff:
-    def test_negative_index_is_zero(self):
-        assert coeff(TruncatedSeries([1, 1, 1]), -1) == 0
-
-    def test_direct_read(self):
-        assert coeff(TruncatedSeries([1, 2, 4]), 2) == 4
-
-    def test_beyond_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            coeff(TruncatedSeries([1, 0, 0]), 5)
-
-
-class TestTruncatedSeries:
-    def test_length_must_match_order(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([1, 2], order=3)
-        with pytest.raises(ValueError):
-            TruncatedSeries([], order=-1)
 
 
 small_polys = st.builds(
