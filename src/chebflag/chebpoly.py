@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .series import IntPolynomial, ONE, X
+from .series import IntPolynomial, ONE, poly_add
 
 __all__ = ["Partition", "p_poly", "p_coeff_closed", "root_brackets"]
 
@@ -65,7 +65,9 @@ def p_poly(r: int) -> IntPolynomial:
     if r < 0:
         raise ValueError("index must be nonnegative")
     while len(_PS) <= r:
-        _PS.append(_PS[-1] - X * _PS[-2])
+        # -x * p_{r-1} is p_{r-1} shifted up one degree and negated
+        shifted = IntPolynomial([0] + [-c for c in _PS[-2].coeffs])
+        _PS.append(poly_add(_PS[-1], shifted))
     return _PS[r]
 
 

@@ -329,6 +329,14 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_families(ns: argparse.Namespace) -> int:
     _check_length(ns.rs, "--rs", ns.ceiling)
     fq = FamilyQuery(ns.kind, ns.m, ns.t, ns.s, r=ns.r, rs=tuple(ns.rs), N=ns.N)
+    # N is the coefficient index, bounded as in mult and table; the part
+    # count is bounded as the --rs length is
+    if fq.N is not None and fq.N > ns.ceiling:
+        raise CeilingError(f"coefficient index {fq.N} (--N) exceeds ceiling "
+                           f"{ns.ceiling}")
+    parts = fq.t + len(fq.middles) + fq.s
+    if parts > ns.ceiling:
+        raise CeilingError(f"partition has {parts} parts (ceiling {ns.ceiling})")
     q, rho = fq.q_rho
     obj: dict = {
         "command": "families",

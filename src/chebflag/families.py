@@ -191,8 +191,9 @@ def family_quotient(fq: FamilyQuery) -> FamilyModel:
     """The reduced quotient prod p_middle * p_{m-rho-1} / p_m^k, k = q+1
     for m >= 2, with the canonical pairs ((0, m-rho-1), (r_i, 0)...,
     (0,0)...) whenever q >= d, the number of middle parts.  Below that,
-    kind b at q = 0 has the single pair (r, m-rho-1) when it is
-    admissible, and kind c has none.  At m = 1 kind a needs k >= 1."""
+    one middle part r (kind b, or kind c with one part) at q = 0 has the
+    single pair (r, m-rho-1) when it is admissible, and two or more have
+    none.  At m = 1 kind a needs k >= 1."""
     q, rho = fq.q_rho
     if q < 0:
         raise ValueError("q < 0: the quotient degenerates; the multiplicity is 0")
@@ -206,11 +207,12 @@ def family_quotient(fq: FamilyQuery) -> FamilyModel:
         pairs = (((0, m - rho - 1),) + tuple((ri, 0) for ri in middles)
                  + ((0, 0),) * (spec.k - 1 - d))
         return FamilyModel(spec, PairDecomposition(m, pairs))
-    if fq.kind == "c":
+    if d >= 2:
         return FamilyModel(spec, None, f"no unsigned model: q = {q} < d = {d}")
-    if rho >= fq.r:
+    (r,) = middles
+    if rho >= r:
         # q = 0: the single pair (r, m-rho-1) fits since r + (m-rho-1) <= m-1
-        return FamilyModel(spec, PairDecomposition(m, ((fq.r, m - rho - 1),)))
+        return FamilyModel(spec, PairDecomposition(m, ((r, m - rho - 1),)))
     return FamilyModel(
         spec, None, "no unsigned model: q = 0 and the single pair is inadmissible"
     )
@@ -222,9 +224,9 @@ def family_multiplicity(fq: FamilyQuery) -> int:
 
     q < 0 returns 0 outright.  Whenever the unsigned model applies the
     value is recounted through the Dyck product model and the two must
-    agree.  Kind b with q = 0 and 2N > s, and kind a at m = 1 with N >= 1
-    (k < 1), are the documented exceptions where the value stands without
-    an unsigned model.
+    agree.  One middle part with q = 0 and 2N > s, d >= 2 middle parts
+    with q < d, and kind a at m = 1 with N >= 1 (k < 1) are the documented
+    exceptions where the value stands without an unsigned model.
     """
     if fq.N is None:
         raise ValueError("family queries need the coefficient index N")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .series import IntPolynomial, ONE, ZERO, poly_add, poly_mul, poly_scale
+from .series import IntPolynomial, ONE, ZERO, poly_add, poly_mul
 
 __all__ = [
     "StripWalk",
@@ -128,6 +128,12 @@ class DyckConstraint:
     @property
     def semilength(self) -> int:
         return self.m - 1 - self.b + self.u
+
+    @property
+    def walk_length(self) -> int:
+        # the bijection's walk from a to m-1-b: the m-1-a-b steps between
+        # them plus an up/down pair per unit of excess
+        return self.m - 1 - self.a - self.b + 2 * self.u
 
 
 def matching_count(r: int, j: int) -> int:
@@ -276,26 +282,24 @@ def enumerate_strip_walks(m: int, a: int, b: int, L: int) -> list[StripWalk]:
 
 @lru_cache(maxsize=None)
 def full_height_count(m: int, u: int) -> int:
-    """B_m(u): walks from 0 to m-1 of excess u, length m-1+2u."""
-    if u < 0:
-        raise ValueError("excess must be nonnegative")
-    return strip_walk_count(m, 0, m - 1, m - 1 + 2 * u)
+    """B_m(u) = D_m(0,0;u): walks from 0 to m-1 of excess u."""
+    return strip_walk_count(m, 0, m - 1, DyckConstraint(m, 0, 0, u).walk_length)
 
 
 def dyck_count(c: DyckConstraint) -> int:
     """D_m(a,b;u), counted through the walk bijection."""
-    return strip_walk_count(c.m, c.a, c.m - 1 - c.b, c.m - 1 - c.a - c.b + 2 * c.u)
+    return strip_walk_count(c.m, c.a, c.m - 1 - c.b, c.walk_length)
 
 
 def dyck_counts(c: DyckConstraint) -> list[int]:
     """D_m(a,b;u) for every excess u = 0..c.u, read from one pass of the
-    transfer matrix: excess u is walk length m-1-a-b+2u.
+    transfer matrix: each unit of excess less is two steps shorter.
 
     >>> dyck_counts(DyckConstraint(4, 1, 1, 3))
     [1, 3, 8, 21]
     """
-    first = c.m - 1 - c.a - c.b
-    return strip_walk_counts(c.m, c.a, c.m - 1 - c.b, first + 2 * c.u)[first::2]
+    L = c.walk_length
+    return strip_walk_counts(c.m, c.a, c.m - 1 - c.b, L)[L - 2 * c.u :: 2]
 
 
 def enumerate_dyck(c: DyckConstraint) -> list[DyckPath]:
@@ -342,7 +346,7 @@ def walk_to_dyck(walk: StripWalk, c: DyckConstraint) -> DyckPath:
             f"walk must run from a={c.a} to m-1-b={c.m - 1 - c.b}, "
             f"got {walk.heights[0]} to {walk.heights[-1]}"
         )
-    if walk.length != c.m - 1 - c.a - c.b + 2 * c.u:
+    if walk.length != c.walk_length:
         raise ValueError(
             f"walk length {walk.length} does not match excess u={c.u}"
         )
@@ -381,14 +385,6 @@ def continuant_det(m: int) -> IntPolynomial:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    neg_s = IntPolynomial((0, -1))
-
-    def entry(i: int, j: int) -> IntPolynomial | None:
-        if i == j:
-            return ONE
-        if abs(i - j) == 1:
-            return neg_s
-        return None
 
     @lru_cache(maxsize=None)
     def minor(mask: int) -> IntPolynomial:
@@ -401,10 +397,11 @@ def continuant_det(m: int) -> IntPolynomial:
             bit = 1 << j
             if not mask & bit:
                 continue
-            e = entry(row, j)
-            if e is not None:
-                term = poly_mul(e, minor(mask & ~bit))
-                acc = poly_add(acc, term if sign > 0 else poly_scale(term, -1))
+            # entry (row, j) times its cofactor sign: 1 on the diagonal, -s
+            # beside it, 0 elsewhere
+            if abs(row - j) <= 1:
+                e = IntPolynomial((sign,) if row == j else (0, -sign))
+                acc = poly_add(acc, poly_mul(e, minor(mask & ~bit)))
             sign = -sign
         return acc
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .chebpoly import Partition, p_coeff_closed, p_poly
-from .pathcomb import strip_walk_counts
+from .pathcomb import DyckConstraint, dyck_counts
 from .series import (IntPolynomial, TruncatedSeries, poly_prod, product_coeff,
                      series_div_unit)
 
@@ -96,7 +96,6 @@ class PositivityClass:
 class CoefficientReport:
     """Exact coefficients a_0..a_order of the quotient a spec describes."""
 
-    spec: QuotientSpec
     coeffs: TruncatedSeries
 
 
@@ -146,18 +145,17 @@ def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
     if order < 0:
         raise ValueError("order must be nonnegative")
     cs = next(_over_pm([p_poly(a) for a in spec.alphas], spec.m, [(spec.k, order)]))
-    series = TruncatedSeries(cs + (0,) * (order + 1 - len(cs)))
-    return CoefficientReport(spec, series)
+    return CoefficientReport(TruncatedSeries(cs + (0,) * (order + 1 - len(cs))))
 
 
 def signed_coefficient(spec: QuotientSpec, r: int) -> int:
     """a_r by the signed tuple count: sum over j_0..j_L, u_1..u_k with
     sum r of (-1)^(sum j) * prod C(alpha_i - j_i, j_i) * prod B_m(u_nu),
     the B product read as 1 when k = 0: [x^r] of the product of the
-    closed-form vectors of the p_alpha and k copies of B_m(0..r), read
-    from one transfer-matrix pass.  Neither the recurrence for p_r nor a
-    division is used, so the route stays independent of expand.  Only
-    defined for k >= 0.
+    closed-form vectors of the p_alpha and k copies of B_m(0..r) =
+    D_m(0,0;0..r), read from one transfer-matrix pass.  Neither the
+    recurrence for p_r nor a division is used, so the route stays
+    independent of expand.  Only defined for k >= 0.
     """
     if spec.k < 0:
         raise ValueError("signed formula requires k >= 0; expand instead")
@@ -167,7 +165,7 @@ def signed_coefficient(spec: QuotientSpec, r: int) -> int:
     vectors = [[p_coeff_closed(a, j) for j in range(min(a // 2, r) + 1)]
                for a in spec.alphas]
     if k:
-        vectors += [strip_walk_counts(m, 0, m - 1, m - 1 + 2 * r)[m - 1 :: 2]] * k
+        vectors += [dyck_counts(DyckConstraint(m, 0, 0, r))] * k
     return product_coeff(vectors, r)
 
 

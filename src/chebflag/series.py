@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
+__all__ = ["IntPolynomial", "TruncatedSeries", "ZERO", "ONE", "poly_add",
+           "poly_mul", "product_coeff", "poly_pow", "poly_prod", "series_div_unit"]
+
 
 @dataclass(init=False, eq=True, frozen=True)
 class IntPolynomial:
@@ -24,8 +27,6 @@ class IntPolynomial:
     1
     >>> IntPolynomial([0, 0]) == IntPolynomial([])
     True
-    >>> IntPolynomial([1, -3, 1])(2)
-    -1
     """
 
     coeffs: tuple[int, ...]
@@ -49,29 +50,9 @@ class IntPolynomial:
             return self.coeffs[j]
         return 0
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int and Fraction inputs."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_add(self, other)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_add(self, poly_scale(other, -1))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return poly_mul(self, other)
-
-    def __neg__(self) -> "IntPolynomial":
-        return poly_scale(self, -1)
-
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
-X = IntPolynomial((0, 1))
 
 
 @dataclass(frozen=True)
@@ -143,10 +124,6 @@ def product_coeff(vectors: Iterable[Sequence[int]], r: int) -> int:
         acc += [sum(map(mul, ra, b[n - la + 1 : n + 1])) for n in range(la, length)]
     # acc stops by x^r, so its reverse meets last's window ending at r
     return sum(map(mul, acc[::-1], last[r + 1 - len(acc) : r + 1]))
-
-
-def poly_scale(p: IntPolynomial, c: int) -> IntPolynomial:
-    return IntPolynomial(c * a for a in p.coeffs)
 
 
 def poly_pow(p: IntPolynomial, e: int) -> IntPolynomial:

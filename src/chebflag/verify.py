@@ -158,9 +158,7 @@ def bijection(max_u: int = 3) -> SuiteResult:
             for b in range(m - a):
                 for u, count in enumerate(dyck_counts(DyckConstraint(m, a, b, max_u))):
                     c = DyckConstraint(m, a, b, u)
-                    walks = enumerate_strip_walks(
-                        m, a, m - 1 - b, m - 1 - a - b + 2 * u
-                    )
+                    walks = enumerate_strip_walks(m, a, m - 1 - b, c.walk_length)
                     paths = enumerate_dyck(c)
                     t.check(
                         len(walks) == len(paths) == count,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -189,6 +190,44 @@ class TestCeiling:
         )
         assert code == 0
 
+    def test_families_index_over_ceiling(self, capsys, monkeypatch):
+        # refused before any work; unbounded, the first query runs for seconds
+        monkeypatch.setenv("CHEBFLAG_CEILING", "100")
+        for argv in (["--m", "10", "--s", "3000", "--N", "1200"],
+                     ["--m", "10", "--s", "30", "--N", "101"]):
+            code, out, err = run_main(capsys, ["families", "--kind", "a", *argv])
+            assert (code, out) == (4, "")
+            assert "--N" in err and "ceiling" in err and "Traceback" not in err
+        code, _, _ = run_main(
+            capsys, ["families", "--kind", "a", "--m", "10", "--s", "30", "--N", "100"]
+        )
+        assert code == 0
+
+    def test_families_parts_over_ceiling(self, capsys, monkeypatch):
+        # t + len(rs) + s parts, counted like the --rs length
+        monkeypatch.setenv("CHEBFLAG_CEILING", "100")
+        argv = ["families", "--kind", "c", "--m", "6", "--t", "40", "--rs", "1,2,3"]
+        code, out, err = run_main(capsys, argv + ["--s", "58"])
+        assert (code, out) == (4, "")
+        assert "101 parts" in err and "ceiling" in err and "Traceback" not in err
+        code, out, err = run_main(
+            capsys, ["families", "--kind", "b", "--m", "6", "--t", "40", "--r", "2",
+                     "--s", "60"]
+        )
+        assert (code, out) == (4, "")
+        assert "101 parts" in err and "Traceback" not in err
+        assert run_main(capsys, argv + ["--s", "57"])[0] == 0
+
+    def test_families_negative_counts_before_ceiling(self, capsys, monkeypatch):
+        # N is above this ceiling, but a negative s is a domain error first
+        monkeypatch.setenv("CHEBFLAG_CEILING", "3")
+        code, out, err = run_main(
+            capsys, ["families", "--kind", "c", "--m", "8", "--t", "1", "--s", "-1",
+                     "--rs", "7,6,7", "--N", "6"]
+        )
+        assert (code, out) == (3, "")
+        assert "t and s must be nonnegative" in err and "Traceback" not in err
+
 
 class TestMult:
     def test_text(self, capsys):
@@ -370,6 +409,26 @@ class TestFamilies:
         assert out == ""
         assert "t and s must be nonnegative" in err
         assert "Traceback" not in err
+
+    def test_one_part_kind_c_matches_kind_b(self, capsys):
+        # the same partition (m^t, r, 1^s) spelled as kind b and as kind c
+        # with one part prints the same pairs, note and multiplicity
+        def fields(argv):
+            code, out, _ = run_main(capsys, argv + ["--format", "json"])
+            obj = json.loads(out)
+            return code, {k: v for k, v in obj.items() if k not in ("kind", "r", "rs")}
+
+        pairs = 0
+        for m in range(2, 8):
+            for t, s, r in itertools.product(range(3), range(3 * m), range(1, m)):
+                for N in [None, *range((r + s) // 2 + 1)]:
+                    argv = ["families", "--m", str(m), "--t", str(t), "--s", str(s)]
+                    argv += [] if N is None else ["--N", str(N)]
+                    b = fields(argv + ["--kind", "b", "--r", str(r)])
+                    c = fields(argv + ["--kind", "c", "--rs", str(r)])
+                    assert b == c, argv + ["--r", str(r)]
+                    pairs += b[1]["pairs"] is not None
+        assert pairs > 3000
 
     def test_m1_pairs_match_k(self, capsys):
         code, out, _ = run_main(

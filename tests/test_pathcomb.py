@@ -71,6 +71,15 @@ class TestDyckConstraint:
     def test_semilength(self):
         assert DyckConstraint(3, 0, 2, 0).semilength == 0
 
+    def test_walk_length(self):
+        # the walk from a to m-1-b: m-1-a-b forced steps, two per excess
+        assert DyckConstraint(3, 0, 2, 0).walk_length == 0
+        assert DyckConstraint(5, 1, 2, 3).walk_length == 7
+        for m, a, b, u in [(4, 1, 1, 0), (4, 1, 1, 2), (5, 0, 0, 3), (5, 2, 2, 1)]:
+            c = DyckConstraint(m, a, b, u)
+            walks = enumerate_strip_walks(m, a, m - 1 - b, c.walk_length)
+            assert walks and all(w.excess == u for w in walks), c
+
 
 class TestMatchings:
     def test_empty_matching_always(self):

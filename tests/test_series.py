@@ -32,12 +32,6 @@ class TestIntPolynomial:
         assert p[5] == 0
         assert p[-1] == 0
 
-    def test_eval(self):
-        assert P(1, -3, 1)(2) == -1
-        from fractions import Fraction
-
-        assert P(1, -2)(Fraction(1, 2)) == 0
-
 
 class TestPolyAdd:
     def test_cancellation(self):
