@@ -12,7 +12,8 @@ across its rows; the verify and families cases were recorded before the
 acceptance gate and verify came to share one set of suites; the three
 families cases with many repeated pairs and N in the tens were recorded
 before the product model read all excesses of a pair from one
-transfer-matrix pass.
+transfer-matrix pass; the mult and classify csv cases were recorded
+before every command came to return its output to one writer.
 """
 
 import hashlib
@@ -88,6 +89,18 @@ CORPUS = [
      "8f7cf7fc379d89c7541a6adbcab8337d2ef07272e0f0645f48b16b3cd9fb42f7"),
     ("families --kind b --m 8 --t 0 --s 200 --r 6 --N 80", 0,
      "aabd95cb96efb39fb26fccdf2fd970bb835372c38c5eaf77dde40f197bacebe5"),
+    # mult csv with a quoted and an unquoted xi cell; classify csv for each
+    # class, with empty cells for an absent degree bound or threshold
+    ("mult --xi 4,4,3,3,2,2,1,1 --m 5 --n 4 --format csv", 0,
+     "f53f047cbd4b632abfc97cadff46bf22d2776487611e3d9433985d8840640c61"),
+    ("mult --xi 1 --m 3 --n 1 --format csv", 0,
+     "644c7fcc1e655d87047250093621316a251294a3dd4c6f28fb3d78ca76aef33a"),
+    ("classify --xi 1,1 --m 1 --mu 2 --format csv", 0,  # constant_one
+     "61b1608ae40665fe36002fe5533e71bdb8f34d5568f9e6dc207af9fc26a0ed72"),
+    ("classify --xi 2,2 --m 2 --mu 0 --format csv", 0,  # polynomial
+     "f9de1d8115a7945c4fca5c380fc3769b7f001bf2537eda6d96491056d5a2147b"),
+    ("classify --xi 3,2 --m 4 --mu 1 --horizon 60 --format csv", 0,
+     "9b18ef8a991f6cc6d5fc6ed8a680e0d0f6f288d8e9a5a0f5a976d5d20701a1f7"),
 ]
 
 
