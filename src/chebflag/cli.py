@@ -4,11 +4,14 @@ Subcommands: expand, mult, classify, verify, families, table.
 Formats: text (default), json, csv.  Big integers are serialized as
 decimal strings in json and csv so downstream consumers never lose
 precision.  Output is byte-deterministic for a fixed config and seed.
+Each command returns an Output, and one writer prints the field of the
+format asked for.  ``verify --format csv`` prints the text report.
 
 Exit status: 0 success, 2 usage or parse error, 3 domain error (for
 example a part exceeding the level, or a malformed golden file),
 4 resource ceiling exceeded, 5 verification mismatch (a failing suite,
-or two routes disagreeing on one value).
+or two routes disagreeing on one value), 141 stdout closed by its reader
+(nothing is written to stderr).
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import chain
+from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 from .chebpoly import Partition
 from .families import (
@@ -47,6 +54,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CEILING = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class CeilingError(Exception):
@@ -108,35 +116,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_fmt(p):
-        p.add_argument(
-            "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
-        )
-
     p = sub.add_parser("expand", help="exact coefficients a_0..a_order")
     p.add_argument("--xi", type=_parse_partition, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--order", type=int, default=10)
-    add_fmt(p)
 
     p = sub.add_parser("mult", help="one flag multiplicity")
     p.add_argument("--xi", type=_parse_partition, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_fmt(p)
 
     p = sub.add_parser("classify", help="positivity class and evidence")
     p.add_argument("--xi", type=_parse_partition, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    add_fmt(p)
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--golden", type=str, default=None)
-    add_fmt(p)
 
     p = sub.add_parser("families", help="family quotient, pairs, and value")
     p.add_argument("--kind", choices=("a", "b", "c"), required=True)
@@ -146,14 +145,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--rs", type=_parse_int_list, default=())
     p.add_argument("--N", type=int, default=None)
-    add_fmt(p)
 
     p = sub.add_parser("table", help="multiplicity table over a grid of n")
     p.add_argument("--xi", type=_parse_partition, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=_parse_int_list, required=True)
-    add_fmt(p)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
+        )
     return ap
 
 
@@ -163,53 +164,62 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return ns
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+@dataclass(frozen=True)
+class Output:
+    """What a command prints, once per format, and its exit code.
+
+    Lines carry no terminator.  The writer reads only the field of the
+    format asked for, so the others, and any lazy line, are never built."""
+
+    json: object
+    csv: Iterable[str] | None
+    text: Iterable[str]
+    code: int = EXIT_OK
 
 
-def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, indent=2))
+def _csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
+    # writerow returns what its file's write returns, and write=str hands
+    # the line back; None is written as an empty cell
+    return map(csv.writer(SimpleNamespace(write=str), lineterminator="").writerow,
+               rows)
+
+
+def _write(out: Output, fmt: str) -> None:
+    """The one writer to stdout, one line at a time, so every line before
+    a failing one (a decimal conversion past CPython's digit limit) is
+    kept."""
+    if fmt == "json":
+        # default=list expands lazy sequences such as map(str, cs)
+        lines = [json.dumps(out.json, indent=2, default=list)]
+    elif fmt == "csv" and out.csv is not None:
+        lines = out.csv
+    else:
+        lines = out.text
+    write = sys.stdout.write
+    for line in lines:
+        write(line + "\n")
 
 
 def _spec_header(sp) -> dict:
-    return {
-        "xi": list(sp.xi.parts),
-        "m": sp.m,
-        "mu": sp.mu,
-        "mu1": sp.mu1,
-        "mu0": sp.mu0,
-        "t": sp.t,
-        "k": sp.k,
-        "alphas": list(sp.alphas),
-    }
+    return dict(xi=list(sp.xi.parts), m=sp.m, mu=sp.mu, mu1=sp.mu1, mu0=sp.mu0,
+                t=sp.t, k=sp.k, alphas=list(sp.alphas))
 
 
-def cmd_expand(ns: argparse.Namespace) -> int:
+def cmd_expand(ns: argparse.Namespace) -> Output:
     if ns.order > ns.ceiling:
         raise CeilingError(f"order {ns.order} exceeds ceiling {ns.ceiling}")
     sp = make_spec(Partition(ns.xi), ns.m, ns.mu)
-    report = expand(sp, ns.order)
-    cs = report.coeffs.coeffs
-    if ns.fmt == "json":
-        obj = {"command": "expand", **_spec_header(sp), "order": ns.order,
-               "coefficients": [str(c) for c in cs]}
-        _emit_json(obj)
-    elif ns.fmt == "csv":
-        # integer fields never need quoting; one write per row keeps every
-        # row before a failing decimal conversion in the output
-        write = sys.stdout.write
-        write("r,coefficient\n")
-        for r, c in enumerate(cs):
-            write(f"{r},{c}\n")
-    else:
-        _emit(
-            f"xi={list(sp.xi.parts)} m={sp.m} mu={sp.mu} -> mu1={sp.mu1} "
-            f"mu0={sp.mu0} t={sp.t} k={sp.k} alphas={list(sp.alphas)}"
-        )
-        _emit(",".join(str(c) for c in cs))
-    return EXIT_OK
+    cs = expand(sp, ns.order).coeffs.coeffs
+    head = (f"xi={list(sp.xi.parts)} m={sp.m} mu={sp.mu} -> mu1={sp.mu1} "
+            f"mu0={sp.mu0} t={sp.t} k={sp.k} alphas={list(sp.alphas)}")
+    return Output(
+        json={"command": "expand", **_spec_header(sp), "order": ns.order,
+              "coefficients": map(str, cs)},
+        # integer cells never need quoting; f-strings beat csv.writer here
+        csv=chain(["r,coefficient"], (f"{r},{c}" for r, c in enumerate(cs))),
+        # the coefficient line is joined only when it is written
+        text=chain([head], map(",".join, [map(str, cs)])),
+    )
 
 
 def _check_length(values, flag: str, ceiling: int) -> None:
@@ -228,30 +238,20 @@ def _check_indices(xi: Partition, grid, ceiling: int) -> None:
             )
 
 
-def cmd_mult(ns: argparse.Namespace) -> int:
+def cmd_mult(ns: argparse.Namespace) -> Output:
     xi = Partition(ns.xi)
     _check_indices(xi, (ns.n,), ns.ceiling)
-    value = multiplicity(xi, ns.m, ns.n)
-    if ns.fmt == "json":
-        _emit_json(
-            {
-                "command": "mult",
-                "xi": list(xi.parts),
-                "m": ns.m,
-                "n": ns.n,
-                "multiplicity": str(value),
-            }
-        )
-    elif ns.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["xi", "m", "n", "multiplicity"])
-        w.writerow([",".join(map(str, xi.parts)), ns.m, ns.n, str(value)])
-    else:
-        _emit(f"V(xi={list(xi.parts)}, m={ns.m}, n={ns.n}) = {value}")
-    return EXIT_OK
+    value = str(multiplicity(xi, ns.m, ns.n))
+    return Output(
+        json={"command": "mult", "xi": list(xi.parts), "m": ns.m, "n": ns.n,
+              "multiplicity": value},
+        csv=_csv_lines([("xi", "m", "n", "multiplicity"),
+                        (",".join(map(str, xi.parts)), ns.m, ns.n, value)]),
+        text=[f"V(xi={list(xi.parts)}, m={ns.m}, n={ns.n}) = {value}"],
+    )
 
 
-def cmd_classify(ns: argparse.Namespace) -> int:
+def cmd_classify(ns: argparse.Namespace) -> Output:
     if ns.horizon is not None and ns.horizon < 0:
         raise ValueError("horizon must be nonnegative")
     sp = make_spec(Partition(ns.xi), ns.m, ns.mu)
@@ -262,71 +262,43 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     threshold = None
     if pc.kind == "eventually_positive":
         threshold = positivity_threshold(sp, horizon)
-    obj = {
-        "command": "classify",
-        **_spec_header(sp),
-        "class": pc.kind,
-        "degree_bound": pc.degree_bound,
-        "horizon": horizon,
-        "threshold": threshold,
-        "note": "threshold is empirical evidence over the horizon, not a proof",
-    }
-    if ns.fmt == "json":
-        _emit_json(obj)
-    elif ns.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["class", "degree_bound", "horizon", "threshold"])
-        w.writerow(
-            [
-                pc.kind,
-                "" if pc.degree_bound is None else pc.degree_bound,
-                horizon,
-                "" if threshold is None else threshold,
-            ]
-        )
-    else:
-        _emit(
-            f"xi={list(sp.xi.parts)} m={sp.m} mu={sp.mu} -> class={pc.kind}"
-        )
-        if pc.kind == "polynomial":
-            _emit(f"degree bound {pc.degree_bound}")
-        elif pc.kind == "eventually_positive":
-            shown = "unresolved" if threshold is None else threshold
-            _emit(f"positive from r0={shown} through horizon {horizon} (evidence)")
-    return EXIT_OK
+    text = [f"xi={list(sp.xi.parts)} m={sp.m} mu={sp.mu} -> class={pc.kind}"]
+    if pc.kind == "polynomial":
+        text.append(f"degree bound {pc.degree_bound}")
+    elif pc.kind == "eventually_positive":
+        shown = "unresolved" if threshold is None else threshold
+        text.append(f"positive from r0={shown} through horizon {horizon} (evidence)")
+    return Output(
+        json={"command": "classify", **_spec_header(sp), "class": pc.kind,
+              "degree_bound": pc.degree_bound, "horizon": horizon,
+              "threshold": threshold,
+              "note": "threshold is empirical evidence over the horizon, not a proof"},
+        csv=_csv_lines([("class", "degree_bound", "horizon", "threshold"),
+                        (pc.kind, pc.degree_bound, horizon, threshold)]),
+        text=text,
+    )
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
+def cmd_verify(ns: argparse.Namespace) -> Output:
     results = verify_mod.run_all(ns.seed, ns.golden)
     ok = all(r.ok for r in results)
-    if ns.fmt == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "seed": ns.seed,
-                "suites": [
-                    {
-                        "name": r.name,
-                        "checks": r.checks,
-                        "failures": r.failures,
-                        "first_counterexample": r.first_counterexample,
-                    }
-                    for r in results
-                ],
-                "ok": ok,
-            }
-        )
-    else:
-        for r in results:
-            line = f"{r.name}: checks={r.checks} failures={r.failures}"
-            if r.first_counterexample:
-                line += f" first: {r.first_counterexample}"
-            _emit(line)
-        _emit("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_VERIFY
+    text = [
+        f"{r.name}: checks={r.checks} failures={r.failures}"
+        + (f" first: {r.first_counterexample}" if r.first_counterexample else "")
+        for r in results
+    ]
+    return Output(
+        json={"command": "verify", "seed": ns.seed,
+              "suites": [asdict(r) for r in results], "ok": ok},
+        # --format csv prints the text report: the benchmark's check of
+        # verify output parses it so
+        csv=None,
+        text=text + ["PASS" if ok else "FAIL"],
+        code=EXIT_OK if ok else EXIT_VERIFY,
+    )
 
 
-def cmd_families(ns: argparse.Namespace) -> int:
+def cmd_families(ns: argparse.Namespace) -> Output:
     _check_length(ns.rs, "--rs", ns.ceiling)
     fq = FamilyQuery(ns.kind, ns.m, ns.t, ns.s, r=ns.r, rs=tuple(ns.rs), N=ns.N)
     # N is the coefficient index, bounded as in mult and table; the part
@@ -338,81 +310,55 @@ def cmd_families(ns: argparse.Namespace) -> int:
     if parts > ns.ceiling:
         raise CeilingError(f"partition has {parts} parts (ceiling {ns.ceiling})")
     q, rho = fq.q_rho
-    obj: dict = {
-        "command": "families",
-        "kind": fq.kind,
-        "m": fq.m,
-        "t": fq.t,
-        "s": fq.s,
-        "r": fq.r,
-        "rs": list(fq.rs),
-        "N": fq.N,
-        "q": q,
-        "rho": rho,
-    }
+    fields = dict(kind=fq.kind, m=fq.m, t=fq.t, s=fq.s, r=fq.r, rs=list(fq.rs),
+                  N=fq.N, q=q, rho=rho)
     if q < 0:
-        obj.update(pairs=None, note="q < 0: multiplicity 0", multiplicity="0")
+        fields.update(pairs=None, note="q < 0: multiplicity 0", multiplicity="0")
     else:
         model = family_quotient(fq)
-        obj.update(
+        fields.update(
             alphas=list(model.spec.alphas),
             k=model.spec.k,
-            pairs=None
-            if model.decomposition is None
+            pairs=None if model.decomposition is None
             else [list(p) for p in model.decomposition.pairs],
             note=model.note,
         )
         if fq.N is not None:
-            obj["multiplicity"] = str(family_multiplicity(fq))
-    if ns.fmt == "json":
-        _emit_json(obj)
-    elif ns.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        keys = list(obj.keys())[1:]
-        w.writerow(keys)
-        w.writerow(["" if obj[k] is None else obj[k] for k in keys])
-    else:
-        for key, val in obj.items():
-            if key != "command":
-                _emit(f"{key}: {val}")
-    return EXIT_OK
+            fields["multiplicity"] = str(family_multiplicity(fq))
+    return Output(
+        json={"command": "families", **fields},
+        csv=_csv_lines([fields.keys(), fields.values()]),
+        text=[f"{key}: {val}" for key, val in fields.items()],
+    )
 
 
-def cmd_table(ns: argparse.Namespace) -> int:
+_TABLE_KEYS = ("xi", "m", "n", "multiplicity", "positivity", "family")
+
+
+def cmd_table(ns: argparse.Namespace) -> Output:
     _check_length(ns.n, "--n", ns.ceiling)
     xi = Partition(ns.xi)
     _check_indices(xi, ns.n, ns.ceiling)
     values = multiplicities(xi, ns.m, ns.n)
     family = family_kind_of(xi.parts, ns.m)
-    rows = []
-    for n, value in zip(ns.n, values):
-        kind = classify(make_spec(xi, ns.m, n)).kind if n >= 0 else ""
-        rows.append(
-            {
-                "xi": ",".join(map(str, xi.parts)),
-                "m": ns.m,
-                "n": n,
-                "multiplicity": str(value),
-                "positivity": kind,
-                "family": family,
-            }
-        )
-    if ns.fmt == "json":
-        _emit_json(rows)
-    elif ns.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["xi", "m", "n", "multiplicity", "positivity", "family"])
-        for row in rows:
-            w.writerow([row[k] for k in ("xi", "m", "n", "multiplicity",
-                                         "positivity", "family")])
-    else:
-        for row in rows:
-            _emit(
-                f"xi=({row['xi']}) m={row['m']} n={row['n']} "
-                f"mult={row['multiplicity']} class={row['positivity']} "
-                f"family={row['family']}"
-            )
-    return EXIT_OK
+    cell = ",".join(map(str, xi.parts))
+    rows = [
+        dict(zip(_TABLE_KEYS, (
+            cell, ns.m, n, str(value),
+            classify(make_spec(xi, ns.m, n)).kind if n >= 0 else "", family,
+        )))
+        for n, value in zip(ns.n, values)
+    ]
+    return Output(
+        json=rows,
+        csv=_csv_lines(chain([_TABLE_KEYS], (row.values() for row in rows))),
+        text=(
+            f"xi=({row['xi']}) m={row['m']} n={row['n']} "
+            f"mult={row['multiplicity']} class={row['positivity']} "
+            f"family={row['family']}"
+            for row in rows
+        ),
+    )
 
 
 _COMMANDS = {
@@ -432,7 +378,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[ns.command](ns)
+        out = _COMMANDS[ns.command](ns)
+        _write(out, ns.fmt)
+        sys.stdout.flush()
+        return out.code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # cannot fail again, and end as SIGPIPE would end a pipeline stage
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except CeilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
