@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 import sys
 
 import pytest
@@ -15,6 +17,7 @@ from chebflag.families import (
     product_model_coeff,
 )
 from chebflag.pathcomb import DyckConstraint, dyck_count
+from chebflag import families, quotient, verify
 from chebflag.quotient import expand, multiplicity
 
 
@@ -341,3 +344,20 @@ class TestFamilyKind:
         assert family_kind_of((3, 2, 1), 3) == "b"
         assert family_kind_of((4, 3, 2, 1), 4) == "c"
         assert family_kind_of((), 2) == "a"
+
+
+class TestVerifyFamiliesSuite:
+    def test_passes_on_sound_code(self):
+        assert all(verify.families(random.Random(seed)).ok for seed in range(20))
+
+    def test_catches_a_broken_division_chain(self, monkeypatch):
+        # divide by at most p_m^2, and drop every pair decomposition, which
+        # turns off family_multiplicity's own product-model recount: the
+        # suite must still see wrong values through a route of its own
+        real_over_pm, real_quotient = quotient._over_pm, families.family_quotient
+        monkeypatch.setattr(quotient, "_over_pm", lambda factors, m, wants: real_over_pm(
+            factors, m, [(min(k, 2), top) for k, top in wants]))
+        monkeypatch.setattr(families, "family_quotient", lambda fq: dataclasses.replace(
+            real_quotient(fq), decomposition=None))
+        caught = [not verify.families(random.Random(seed)).ok for seed in range(20)]
+        assert sum(caught) >= 19
