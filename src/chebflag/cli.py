@@ -197,7 +197,10 @@ def _write(out: Output, fmt: str) -> None:
         lines = out.text
     write = sys.stdout.write
     for line in lines:
-        write(line + "\n")
+        # two writes: line + "\n" would copy a json document or an expand
+        # text line of megabytes
+        write(line)
+        write("\n")
 
 
 def _spec_header(sp) -> dict:
