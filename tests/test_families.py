@@ -347,10 +347,8 @@ class TestFamilyKind:
 
 
 class TestVerifyFamiliesSuite:
-    def test_passes_on_sound_code(self):
-        assert all(verify.families(random.Random(seed)).ok for seed in range(20))
-
     def test_catches_a_broken_division_chain(self, monkeypatch):
+        assert all(verify.families(random.Random(seed)).ok for seed in range(20))
         # divide by at most p_m^2, and drop every pair decomposition, which
         # turns off family_multiplicity's own product-model recount: the
         # suite must still see wrong values through a route of its own
