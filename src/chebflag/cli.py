@@ -275,6 +275,7 @@ def cmd_classify(ns: argparse.Namespace) -> Output:
         json={"command": "classify", **_spec_header(sp), "class": pc.kind,
               "degree_bound": pc.degree_bound, "horizon": horizon,
               "threshold": threshold,
+              # older than positivity_bound's proof, kept byte for byte
               "note": "threshold is empirical evidence over the horizon, not a proof"},
         csv=_csv_lines([("class", "degree_bound", "horizon", "threshold"),
                         (pc.kind, pc.degree_bound, horizon, threshold)]),

@@ -1,6 +1,6 @@
 """The normalized quotient F = prod p_alpha / p_m^k, its exact expansion,
-the eventual-positivity trichotomy, the signed coefficient formula, and
-multiplicity extraction.
+the eventual-positivity trichotomy with a proved positivity bound, the
+signed coefficient formula, and multiplicity extraction.
 
 Given a partition xi with parts <= m and a weight mu written as
 mu = mu1*m + mu0, the quotient p_{m-mu0-1} * p_xi / p_m^(mu1+1) cancels
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .chebpoly import Partition, p_coeff_closed, p_poly
+from .fusion import fold
 from .pathcomb import DyckConstraint, dyck_counts
 from .series import (IntPolynomial, TruncatedSeries, poly_prod, product_coeff,
                      series_div_unit)
@@ -27,6 +28,7 @@ __all__ = [
     "expand",
     "signed_coefficient",
     "classify",
+    "positivity_bound",
     "positivity_threshold",
     "default_order",
     "coefficient_index",
@@ -185,28 +187,60 @@ def classify(spec: QuotientSpec) -> PositivityClass:
     return PositivityClass("eventually_positive")
 
 
+def positivity_bound(spec: QuotientSpec) -> int:
+    """An R with a_r >= 1 for every r >= R, proved by the level-m fold of
+    the numerator: F = sum_n N_n * x^s * p_c * p_m^(e-k), n = e*m + c, every
+    N_n >= 1.  A term with e >= k is a polynomial of degree at most
+    s + c//2 + (e-k)*(m//2); T is the largest such degree, or -1.  A term
+    with e < k is x^s times D_m(c, 0; .) convolved with k-e-1 copies of
+    B_m, each >= 1 at every index when m >= 2, so it is >= 1 at every
+    index >= s; S is the smallest such s (the fold always keeps an e = 0
+    term).  R = max(T + 1, S).  Only for eventually positive quotients.
+
+    >>> positivity_bound(make_spec(Partition([3, 2]), 4, 1))
+    2
+    """
+    if classify(spec).kind != "eventually_positive":
+        raise ValueError("a positivity bound applies to eventually positive quotients")
+    m, k, size = spec.m, spec.k, sum(spec.alphas)
+    top, onset = -1, size
+    for n in fold(spec.alphas, m):
+        e, c = divmod(n, m)
+        s = (size - n) // 2
+        if e >= k:
+            top = max(top, s + c // 2 + (e - k) * (m // 2))
+        else:
+            onset = min(onset, s)
+    return max(top + 1, onset)
+
+
 def positivity_threshold(spec: QuotientSpec, horizon: int) -> int | None:
     """Smallest r0 <= horizon with a_r > 0 for all r0 <= r <= horizon, or
-    None when even a_horizon fails.  Empirical evidence, not a proof."""
-    pc = classify(spec)
-    if pc.kind != "eventually_positive":
-        raise ValueError("threshold search applies to eventually positive quotients")
+    None when even a_horizon fails.
+
+    Every a_r from R = positivity_bound(spec) on is at least 1, so when
+    R <= horizon, r0 is exact: positivity holds for every r >= r0, and F is
+    expanded only through R - 1, scanned downward from there.  When
+    R > horizon, the scan reads every coefficient through the horizon."""
+    bound = positivity_bound(spec)  # refuses a quotient that is not eventually positive
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    cs = expand(spec, horizon).coeffs.coeffs
-    r0 = horizon + 1
-    for r in range(horizon, -1, -1):
-        if cs[r] > 0:
-            r0 = r
-        else:
-            break
+    top = min(bound, horizon + 1) - 1
+    r0 = top + 1
+    if top >= 0:
+        cs = expand(spec, top).coeffs.coeffs
+        for r in range(top, -1, -1):
+            if cs[r] > 0:
+                r0 = r
+            else:
+                break
     return r0 if r0 <= horizon else None
 
 
 def default_order(spec: QuotientSpec) -> int:
-    """Heuristic sweep order: past the polynomial degree bound and deep
-    enough that pole growth dominates.  Recorded as a heuristic; there is
-    no effective bound for where positivity must set in."""
+    """Sweep order: past the polynomial degree bound and deep enough that
+    pole growth dominates.  For an eventually positive quotient it is a
+    search horizon only; positivity_bound gives the proved onset."""
     return max(_degree_bound(spec), 4 * spec.m * (max(spec.k, 0) + 1) + 40)
 
 

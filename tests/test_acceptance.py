@@ -9,9 +9,9 @@ import random
 import sys
 import time
 
-from _reference import p_partition
+from _reference import p_partition, root_brackets
 from chebflag import verify
-from chebflag.chebpoly import Partition, p_poly, root_brackets
+from chebflag.chebpoly import Partition, p_poly
 from chebflag.families import FamilyQuery, family_multiplicity
 from chebflag.pathcomb import (
     DyckConstraint,

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from _reference import horner, p_partition
-from chebflag.chebpoly import Partition, p_coeff_closed, p_poly, root_brackets
+from _reference import horner, p_partition, root_brackets
+from chebflag.chebpoly import Partition, p_coeff_closed, p_poly
 
 
 class TestPartition:
@@ -101,6 +101,9 @@ class TestRoots:
         for bits in range(1, 9):
             assert root_brackets(3, bits) == [2 ** (bits - 1)]  # the root 1/2
         assert root_brackets(3, 0) == [0]
+
+    def test_m5(self):
+        assert root_brackets(5, 2) == [1, 4]  # 1/3 and 1, at 1/4 resolution
 
     def test_m4_increasing_positive(self):
         lo, hi = root_brackets(4, 20)

@@ -1,10 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import p_partition, spec_of
+from _reference import p_partition, scan_threshold, spec_of
 from chebflag.chebpoly import Partition, p_poly
 from chebflag.quotient import (
     PositivityClass,
@@ -15,6 +16,7 @@ from chebflag.quotient import (
     make_spec,
     multiplicities,
     multiplicity,
+    positivity_bound,
     positivity_threshold,
     signed_coefficient,
 )
@@ -246,6 +248,18 @@ class TestClassify:
             assert back == poly_mul(p_poly(m - sp.mu0 - 1), p_partition(sp.xi))
 
 
+def _eventually_positive_specs(seed, count):
+    """Seeded specs with k >= 1: m in 2..9 and at most 7 parts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, 9)
+        parts = sorted((rng.randint(1, m) for _ in range(rng.randint(0, 7))), reverse=True)
+        t = parts.count(m)
+        sp = spec_of(parts, m, (t + rng.randint(0, 2)) * m + rng.randint(0, m - 1))
+        assert sp.k >= 1
+        yield sp
+
+
 class TestPositivityThreshold:
     def test_all_positive_from_zero(self):
         assert positivity_threshold(spec_of([1], 2, 1), 50) == 0
@@ -265,6 +279,30 @@ class TestPositivityThreshold:
     def test_rejects_polynomial_spec(self):
         with pytest.raises(ValueError):
             positivity_threshold(spec_of([2, 2], 2, 0), 50)
+
+    def test_equals_the_full_scan(self):
+        # horizons 0, 3 and 10 often sit below the bound, where the scan
+        # reads the whole horizon; default_order sits above it here
+        below = above = 0
+        for sp in _eventually_positive_specs(20261019, 300):
+            bound = positivity_bound(sp)
+            for horizon in (0, 3, 10, default_order(sp)):
+                assert positivity_threshold(sp, horizon) == scan_threshold(sp, horizon), (
+                    sp, horizon)
+                below += bound <= horizon
+                above += bound > horizon
+        assert below > 300 and above > 100
+
+    def test_bound_holds_past_itself(self):
+        for sp in _eventually_positive_specs(20261019, 300):
+            bound = positivity_bound(sp)
+            cs = expand(sp, bound + 30).coeffs.coeffs
+            assert all(c >= 1 for c in cs[bound:]), sp
+
+    def test_bound_rejects_other_classes(self):
+        for sp in (spec_of([2, 2], 2, 0), spec_of([], 1, 3)):
+            with pytest.raises(ValueError):
+                positivity_bound(sp)
 
     def test_default_order_heuristic(self):
         sp = spec_of([1], 2, 1)
