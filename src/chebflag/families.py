@@ -22,6 +22,7 @@ __all__ = [
     "FamilyQuery",
     "FamilyModel",
     "find_pair_decomposition",
+    "product_model_vectors",
     "product_model_coeff",
     "family_quotient",
     "family_multiplicity",
@@ -101,14 +102,20 @@ def find_pair_decomposition(spec: QuotientSpec) -> PairDecomposition | None:
     return PairDecomposition(spec.m, grouped + ((0, 0),) * (k - len(grouped)))
 
 
-def product_model_coeff(dec: PairDecomposition, r: int) -> int:
-    """Number of k-tuples of constrained Dyck paths with total excess r:
-    [x^r] of the product over the pairs of the per-pair counts
-    D_m(a, b; u), each distinct pair counted once for every u <= r."""
+def product_model_vectors(dec: PairDecomposition, r: int) -> list[list[int]]:
+    """The per-pair counts D_m(a, b; 0..r), one vector per pair, whose
+    product's [x^i] counts the k-tuples with total excess i for every
+    i <= r; each distinct pair is counted once."""
     if r < 0:
         raise ValueError("coefficient index must be nonnegative")
     counts = {p: dyck_counts(DyckConstraint(dec.m, *p, r)) for p in set(dec.pairs)}
-    return product_coeff([counts[p] for p in dec.pairs], r)
+    return [counts[p] for p in dec.pairs]
+
+
+def product_model_coeff(dec: PairDecomposition, r: int) -> int:
+    """Number of k-tuples of constrained Dyck paths with total excess r:
+    [x^r] of the product of product_model_vectors(dec, r)."""
+    return product_coeff(product_model_vectors(dec, r), r)
 
 
 @dataclass(frozen=True)

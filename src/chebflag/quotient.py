@@ -11,14 +11,15 @@ Negative k means surplus cancellation and the quotient is a polynomial.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .chebpoly import Partition, p_coeff_closed, p_poly
 from .fusion import fold
 from .pathcomb import DyckConstraint, dyck_counts
-from .series import (IntPolynomial, TruncatedSeries, poly_prod, product_coeff,
-                     series_div_unit)
+from .series import (IntPolynomial, TruncatedSeries, _div_coeffs, poly_prod,
+                     product_coeff, series_div_unit)
 
 __all__ = [
     "QuotientSpec",
@@ -26,6 +27,8 @@ __all__ = [
     "CoefficientReport",
     "make_spec",
     "expand",
+    "expand_decimal",
+    "signed_vectors",
     "signed_coefficient",
     "classify",
     "positivity_bound",
@@ -150,6 +153,73 @@ def expand(spec: QuotientSpec, order: int) -> CoefficientReport:
     return CoefficientReport(TruncatedSeries(cs + (0,) * (order + 1 - len(cs))))
 
 
+def _wide(spec: QuotientSpec, order: int) -> bool:
+    # measured on CPython 3.11 (ROADMAP item 7): the Decimal chain costs
+    # 1.1-1.8 times the int one per multiply-add, and int-to-str is
+    # quadratic in the width, so the crossover moves out with k*(m//2);
+    # for m <= 2 p_m has no root inside the unit disc and a_r stays narrow
+    return spec.k >= 1 and spec.m >= 3 and order > 500 + 30 * spec.k * (spec.m // 2)
+
+
+def expand_decimal(spec: QuotientSpec, order: int) -> Iterator[str]:
+    """The decimal strings of a_0..a_order, exactly as str() of expand's
+    coefficients gives them, CPython's digit limit included.
+
+    With a pole inside the unit disc, a_r gains up to two bits per index,
+    and CPython's int-to-decimal conversion is quadratic in the width.  So
+    above a measured crossover (k >= 1, m >= 3 and order > 500 +
+    30*k*(m//2)) the numerator is converted to decimal.Decimal once, the k
+    divisions by p_m run in a context exact by construction (Inexact and
+    Rounded trapped), and str() of each Decimal is linear.  Below it the
+    ints of expand are converted, as before.  decimal is imported only on
+    that wide path.
+
+    The strings are made lazily.  The first a_r past the digit limit
+    (sys.get_int_max_str_digits(), 0 for none) raises the ValueError that
+    str() of its int raises, so a consumer stops at the same coefficient.
+
+    >>> list(expand_decimal(make_spec(Partition([1]), 3, 0), 4))
+    ['1', '1', '2', '4', '8']
+    """
+    if not _wide(spec, order):  # expand refuses a negative order
+        return map(str, expand(spec, order).coeffs.coeffs)
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact, decimal.Rounded])
+    num = poly_prod([p_poly(a) for a in spec.alphas], order).coeffs
+    with decimal.localcontext(exact):
+        cs = list(map(decimal.Decimal, num))
+        pm = list(map(decimal.Decimal, p_poly(spec.m).coeffs))
+        for _ in range(spec.k):
+            cs = _div_coeffs(cs, pm, order)
+    return _decimal_strings(cs)
+
+
+def _decimal_strings(cs) -> Iterator[str]:
+    # a Python that predates the digit limit has no getter and no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for c in cs:
+        if limit and c.adjusted() >= limit:
+            str(10 ** c.adjusted())  # as many digits as c: CPython's own error
+        yield str(c)
+
+
+def signed_vectors(spec: QuotientSpec, r: int) -> list[list[int]]:
+    """The vectors whose product's [x^i] is a_i for every i <= r: the
+    closed-form coefficients of each p_alpha and k copies of B_m(0..r).
+    Only defined for k >= 0."""
+    if spec.k < 0:
+        raise ValueError("signed formula requires k >= 0; expand instead")
+    if r < 0:
+        raise ValueError("coefficient index must be nonnegative")
+    vectors = [[p_coeff_closed(a, j) for j in range(min(a // 2, r) + 1)]
+               for a in spec.alphas]
+    if spec.k:
+        vectors += [dyck_counts(DyckConstraint(spec.m, 0, 0, r))] * spec.k
+    return vectors
+
+
 def signed_coefficient(spec: QuotientSpec, r: int) -> int:
     """a_r by the signed tuple count: sum over j_0..j_L, u_1..u_k with
     sum r of (-1)^(sum j) * prod C(alpha_i - j_i, j_i) * prod B_m(u_nu),
@@ -159,16 +229,7 @@ def signed_coefficient(spec: QuotientSpec, r: int) -> int:
     recurrence for p_r nor a division is used, so the route stays
     independent of expand.  Only defined for k >= 0.
     """
-    if spec.k < 0:
-        raise ValueError("signed formula requires k >= 0; expand instead")
-    if r < 0:
-        raise ValueError("coefficient index must be nonnegative")
-    m, k = spec.m, spec.k
-    vectors = [[p_coeff_closed(a, j) for j in range(min(a // 2, r) + 1)]
-               for a in spec.alphas]
-    if k:
-        vectors += [dyck_counts(DyckConstraint(m, 0, 0, r))] * k
-    return product_coeff(vectors, r)
+    return product_coeff(signed_vectors(spec, r), r)
 
 
 def _degree_bound(spec: QuotientSpec) -> int:

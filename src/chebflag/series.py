@@ -188,6 +188,27 @@ def poly_prod(
     )
 
 
+def _div_coeffs(num: Sequence, den: Sequence, order: int) -> list:
+    """Coefficients s[0..order] of num/den for den[0] = 1, num read as
+    zero past its end, by the recurrence
+
+        s[n] = num[n] - sum(den[i] * s[n-i] for i >= 1)
+
+    It is exact for any number type whose + and * are: int, or
+    decimal.Decimal under a context that traps rounding, as in
+    quotient.expand_decimal.  series_div_unit is its int front.
+    """
+    d = len(den) - 1
+    # out holds d leading zeros, then num's coefficients through x^order;
+    # den[d], ..., den[1] against the window out[n-d:n] is the sum above
+    rev = den[:0:-1]
+    head = num[: order + 1]
+    out = [0] * d + list(head) + [0] * (order + 1 - len(head))
+    for n in range(d, d + order + 1):
+        out[n] -= sum(map(mul, rev, out[n - d : n]))
+    return out[d:]
+
+
 def series_div_unit(
     num: IntPolynomial | TruncatedSeries, den: IntPolynomial, order: int
 ) -> TruncatedSeries:
@@ -195,10 +216,8 @@ def series_div_unit(
 
     num may be a TruncatedSeries, so that one division can feed the next
     without a copy.  The denominator must have constant term exactly 1;
-    that makes the quotient's coefficients integers and the recurrence
-    below exact:
-
-        s[n] = num[n] - sum(den[i] * s[n-i] for i >= 1)
+    that makes the quotient's coefficients integers and the recurrence of
+    _div_coeffs exact.
 
     >>> series_div_unit(ONE, IntPolynomial([1, -1]), 4).coeffs
     (1, 1, 1, 1, 1)
@@ -215,13 +234,4 @@ def series_div_unit(
         raise ValueError(
             f"numerator known only through x^{num.order}, not x^{order}"
         )
-    d = den.degree
-    # out holds d leading zeros, then num's coefficients through x^order;
-    # den[d], ..., den[1] against the window out[n-d:n] is the sum above
-    rev = den.coeffs[:0:-1]
-    head = num.coeffs[: order + 1]
-    out = [0] * d + list(head) + [0] * (order + 1 - len(head))
-    for n in range(d, d + order + 1):
-        out[n] -= sum(map(mul, rev, out[n - d : n]))
-    return TruncatedSeries(tuple(out[d:]))
-
+    return TruncatedSeries(tuple(_div_coeffs(num.coeffs, den.coeffs, order)))

@@ -25,7 +25,7 @@ from .families import (
     FamilyQuery,
     family_multiplicity,
     find_pair_decomposition,
-    product_model_coeff,
+    product_model_vectors,
 )
 from .pathcomb import (
     DyckConstraint,
@@ -42,8 +42,9 @@ from .pathcomb import (
     strip_walk_counts,
     walk_to_dyck,
 )
-from .quotient import expand, make_spec, multiplicity, signed_coefficient
-from .series import poly_mul, series_div_unit
+from .quotient import (expand, make_spec, multiplicity, signed_coefficient,
+                       signed_vectors)
+from .series import poly_mul, product_coeff, series_div_unit
 
 __all__ = [
     "SuiteResult",
@@ -193,22 +194,26 @@ def _random_spec(rng: random.Random):
 def three_way(rng: random.Random, spec_count: int = 60, order: int = 10) -> SuiteResult:
     """Division, the signed formula and, where a pair decomposition
     exists, the Dyck product model on a_0..a_order of spec_count random
-    specs with m <= 5 and 0 <= k <= 3."""
+    specs with m <= 5 and 0 <= k <= 3.  Each spec's signed and product
+    vectors are built once, through x^order, and every a_r is read from
+    them."""
     t = _Tally("three_way")
     for _ in range(spec_count):
         sp = _random_spec(rng)
         report = expand(sp, order)
+        signed_vecs = signed_vectors(sp, order)
         dec = find_pair_decomposition(sp) if sp.k >= 1 else None
+        product_vecs = None if dec is None else product_model_vectors(dec, order)
         for r in range(order + 1):
             division = report.coeffs.coeffs[r]
-            signed = signed_coefficient(sp, r)
+            signed = product_coeff(signed_vecs, r)
             t.check(
                 division == signed,
                 f"xi={sp.xi.parts} m={sp.m} mu={sp.mu} r={r}: "
                 f"division {division}, signed {signed}",
             )
-            if dec is not None:
-                product = product_model_coeff(dec, r)
+            if product_vecs is not None:
+                product = product_coeff(product_vecs, r)
                 t.check(
                     division == product,
                     f"xi={sp.xi.parts} m={sp.m} mu={sp.mu} r={r}: "

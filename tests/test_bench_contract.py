@@ -40,3 +40,15 @@ def test_traced_run_resolves_every_name():
     assert proc.returncode == 0, proc.stderr
     layers = json.loads(proc.stdout)["layers"]
     assert layers["verify.run_all.calls"] > 0
+
+
+def test_traced_wide_expand_keeps_ints_in_series_div_unit():
+    # op 14 of seed 1 is the first expansion past the crossover into
+    # Decimal; the tracer calls bit_length() on every series_div_unit
+    # result, so a Decimal there would show as an error outcome
+    proc = _worker("--workload", "expand_deep", "--seed", "1", "--ops", "15", "--trace")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["outcomes"]) == 15
+    assert set(report["outcomes"]) <= {"ok", "defect"}, report["problems"]
+    assert report["problems"] == []

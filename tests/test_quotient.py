@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from chebflag.quotient import (
     classify,
     default_order,
     expand,
+    expand_decimal,
     make_spec,
     multiplicities,
     multiplicity,
@@ -143,6 +147,89 @@ class TestLayeredDivision:
             sp = spec_of(case["xi"], case["m"], case["mu"])
             got = expand(sp, case["order"]).coeffs.coeffs
             assert [str(c) for c in got] == case["coeffs"]
+
+
+class TestExpandDecimal:
+    """expand_decimal prints what str() of expand's ints prints, on both
+    sides of the crossover into decimal.Decimal."""
+
+    @staticmethod
+    def _edge(sp):
+        return 500 + 30 * sp.k * (sp.m // 2)
+
+    def test_equals_str_of_expand(self):
+        rng = random.Random(20261020)
+        wide = negative = zero = 0
+        for _ in range(60):
+            m, k = rng.randint(3, 9), rng.randint(1, 3)
+            rest = sorted((rng.randint(1, m - 1) for _ in range(rng.randint(0, 4))),
+                          reverse=True)
+            t = rng.randint(0, 2)
+            sp = spec_of([m] * t + rest, m, (k - 1 + t) * m + rng.randrange(m))
+            assert sp.k == k
+            # the last order below the crossover, then one above it
+            for order in (self._edge(sp), self._edge(sp) + 1 + rng.randrange(40)):
+                cs = expand(sp, order).coeffs.coeffs
+                # equality with str(int) rules out "-0" and exponents
+                assert list(expand_decimal(sp, order)) == list(map(str, cs))
+                if order > self._edge(sp):
+                    wide += 1
+                    negative += any(c < 0 for c in cs)
+                    zero += 0 in cs
+        assert (wide, negative > 0, zero > 0) == (60, True, True)
+
+    def test_other_quotients_stay_on_ints(self):
+        # k <= 0, and m <= 2 where p_m has no root inside the unit disc
+        for sp in (spec_of([2, 2], 2, 0), spec_of([4, 4, 1], 4, 5),
+                   spec_of([1], 2, 10), spec_of([1, 1], 1, 3)):
+            cs = expand(sp, 3000).coeffs.coeffs
+            assert list(expand_decimal(sp, 3000)) == list(map(str, cs))
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            expand_decimal(spec_of([1], 3, 0), -1)
+
+    def test_stops_at_the_digit_limit(self):
+        # a_1082 is the first coefficient past 640 digits: the strings
+        # before it are yielded, then str()'s own ValueError
+        sp = spec_of([7, 5], 12, 60)
+        assert 2000 > self._edge(sp)
+        want = list(map(str, expand(sp, 1081).coeffs.coeffs))
+        got = []
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError, match="Exceeds the limit \\(640 digits\\)"):
+                got.extend(expand_decimal(sp, 2000))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert got == want
+
+    def test_no_digit_limit_without_get_int_max_str_digits(self, monkeypatch):
+        # a Python that predates the digit limit has no
+        # sys.get_int_max_str_digits, and no limit either
+        sp = spec_of([7, 5], 12, 60)
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            monkeypatch.delattr(sys, "get_int_max_str_digits")
+            got = list(expand_decimal(sp, 2000))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert len(got) == 2001 and len(got[1082].lstrip("-")) > 640
+
+    def test_imports_decimal_only_when_wide(self):
+        code = (
+            "import sys\n"
+            "from chebflag.chebpoly import Partition\n"
+            "from chebflag.quotient import expand_decimal, make_spec\n"
+            "sp = make_spec(Partition([1]), 3, 0)\n"
+            "list(expand_decimal(sp, 530)); print('decimal' in sys.modules)\n"
+            "list(expand_decimal(sp, 531)); print('decimal' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ), check=True)
+        assert proc.stdout == "False\nTrue\n"
 
 
 class TestSignedCoefficient:

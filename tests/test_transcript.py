@@ -17,10 +17,12 @@ before every command came to return its output to one writer.
 """
 
 import hashlib
+import json
 import sys
 
 import pytest
 
+import chebflag.quotient
 from chebflag.chebpoly import Partition
 from chebflag.cli import main
 from chebflag.quotient import expand, make_spec
@@ -136,3 +138,43 @@ def test_csv_rows_before_digit_limit(capsys):
     assert _digest(out) == (
         "c90c1b13082c1099a26ba68419a19bf9f4931a56d1bd5bf89aad058bb72f0c19"
     )
+
+
+@pytest.mark.parametrize("limit", [640, 0])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_wide_expand_prints_what_ints_print(capsys, monkeypatch, fmt, limit):
+    # order 2000 is past the crossover for k=6, m=12 (500 + 30*6*6 = 1580),
+    # so the division chain runs in Decimal; forcing the int route must give
+    # the same exit code, stdout and stderr, with and without a digit limit
+    line = f"expand --xi 7,5 --m 12 --mu 60 --order 2000 --format {fmt}"
+    runs = []
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        runs.append((main(line.split()), *capsys.readouterr()))
+        monkeypatch.setattr(chebflag.quotient, "_wide", lambda sp, order: False)
+        runs.append((main(line.split()), *capsys.readouterr()))
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert runs[0] == runs[1]
+    got, out, err = runs[0]
+    if limit:
+        # a_1082 is the first coefficient past 640 digits
+        assert got == 3 and "640 digits" in err
+        if fmt == "csv":
+            cs = expand(make_spec(Partition((7, 5)), 12, 60), 1081).coeffs.coeffs
+            assert out == "r,coefficient\n" + "".join(
+                f"{r},{c}\n" for r, c in enumerate(cs))
+        else:
+            assert out.splitlines() == (
+                ["xi=[7, 5] m=12 mu=60 -> mu1=5 mu0=0 t=0 k=6 alphas=[11, 7, 5]"]
+                if fmt == "text" else [])
+    else:
+        assert (got, err) == (0, "")
+        cs = expand(make_spec(Partition((7, 5)), 12, 60), 2000).coeffs.coeffs
+        if fmt == "csv":
+            assert out.splitlines()[-1] == f"2000,{cs[-1]}"
+        elif fmt == "json":
+            assert json.loads(out)["coefficients"] == list(map(str, cs))
+        else:
+            assert out.splitlines()[1] == ",".join(map(str, cs))
